@@ -111,9 +111,10 @@ void AddScan(const EvalCounters& delta, bool truncated);
 ///     stores one bit per predicate. A variant then only evaluates its
 ///     *delta* predicates — the ones not shared with the base.
 ///  3. The per-signature lower-bound memo lives one level up (the facts
-///     cache in repair/cvtolerant.cc, keyed by the variant's canonical
-///     predicate list): violations produced here feed it, and a bound is
-///     computed at most once per distinct predicate signature.
+///     map of ScanVariantFacts in repair/cvtolerant.h, keyed by the
+///     variant's canonical predicate list): violations produced here feed
+///     it, and a bound is computed at most once per distinct predicate
+///     signature.
 ///
 /// Thread safety: construction and Prepare() are serial; afterwards every
 /// method is const and the index may be shared read-only across pool

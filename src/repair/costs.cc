@@ -67,4 +67,15 @@ int ChangedCellCount(const Relation& before, const Relation& after) {
   return count;
 }
 
+int64_t NextFreshId(const Relation& r) {
+  int64_t next = 1;
+  for (int i = 0; i < r.num_rows(); ++i) {
+    for (AttrId a = 0; a < r.num_attributes(); ++a) {
+      const Value& v = r.Get(i, a);
+      if (v.is_fresh()) next = std::max(next, v.fresh_id() + 1);
+    }
+  }
+  return next;
+}
+
 }  // namespace cvrepair

@@ -65,6 +65,10 @@ double RepairCost(const Relation& before, const Relation& after,
 /// Number of cells whose value differs between the two instances.
 int ChangedCellCount(const Relation& before, const Relation& after);
 
+/// One past the largest fresh-variable id in `r` (1 when it holds none):
+/// ids minted from here on never alias an fv already in the instance.
+int64_t NextFreshId(const Relation& r);
+
 /// Levenshtein edit distance between two strings.
 int EditDistance(const std::string& a, const std::string& b);
 

@@ -1,6 +1,7 @@
 #ifndef CVREPAIR_REPAIR_CVTOLERANT_H_
 #define CVREPAIR_REPAIR_CVTOLERANT_H_
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -21,8 +22,10 @@ struct CVTolerantOptions {
   VfreeOptions vfree;
   /// When false, each candidate variant is repaired with the multi-round
   /// Holistic engine instead of Vfree (the "CVtolerant + Holistic"
-  /// configuration of Figure 5). Sharing and cost-abort pruning are not
-  /// available in that mode.
+  /// configuration of Figures 5 and 7) — in CVTolerantRepair and in the
+  /// searches of a streaming reopen alike. Sharing and cost-abort pruning
+  /// are not available in that mode, and the kDelete strategy always
+  /// resolves candidates by its subset cover.
   bool use_vfree = true;
   HolisticOptions holistic;
   /// Share materialized component solutions across variants (Section 4.2).
@@ -64,10 +67,13 @@ struct CVTolerantOptions {
 };
 
 /// The constraint-variance tolerant repair (Problem 1 / Algorithm 1):
-/// enumerates θ-maximal constraint variants, prunes them with repair-cost
-/// bounds, repairs the remaining candidates with the sharing-enabled
-/// violation-free DataRepair, and returns the minimum-cost repair together
-/// with the variant Σ' it satisfies.
+/// enumerates θ-maximal constraint variants, computes their violations and
+/// repair-cost bounds (ScanVariantFacts), and runs the candidate loop
+/// (CVTolerantSearchWithFacts), which prunes by the bounds and repairs the
+/// survivors with the sharing-enabled violation-free DataRepair. Returns
+/// the minimum-cost repair together with the variant Σ' it satisfies; when
+/// θ >= 0 and no candidate yields a repair, falls back to a plain Vfree
+/// repair of Σ.
 ///
 /// θ may be negative (net predicate deletion, Appendix D.2); in that case
 /// Σ itself is not a candidate and the bound seeding of Algorithm 1 line 1
@@ -84,7 +90,7 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
 /// from those violations are repaired; `cache` and `fresh_counter` persist
 /// across calls so component solutions are shared and fresh ids stay
 /// globally unique. Derives the engine options (threads, encoded backend)
-/// from `options` exactly as CVTolerantRepair does, so a scoped re-solve
+/// from `options` exactly as the candidate loop does, so a scoped re-solve
 /// is bit-identical to the candidate solve the full pipeline would run on
 /// the same violations. Returns std::nullopt only on a delta_min abort
 /// (never with the default +inf bound).
@@ -96,17 +102,40 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
     const EncodedRelation* encoded = nullptr,
     double delta_min = std::numeric_limits<double>::infinity());
 
-/// Per-constraint detection facts consumed by the factored variant search
-/// below: the constraint's violations over the instance (canonical rows
-/// order, constraint_index 0 — the search re-stamps positions when it
-/// assembles a candidate's union set) and the δ_l/δ_u bounds of its private
-/// conflict hypergraph, or `hopeless` when the violation cap was hit.
+/// Per-constraint detection facts consumed by the variant search below:
+/// the constraint's violations over the instance (canonical rows order,
+/// constraint_index 0 — the search re-stamps positions when it assembles a
+/// candidate's union set) and the δ_l/δ_u bounds of its private conflict
+/// hypergraph, or `hopeless` when the violation cap was hit (a hopeless
+/// constraint's variants never hold the minimum repair).
 struct VariantFacts {
   std::vector<Violation> violations;
   double delta_l = 0.0;
   double delta_u = 0.0;
   bool hopeless = false;
 };
+
+/// The violation cap of one constraint over an instance of `num_rows`
+/// rows: options.max_violations_per_tuple × |I|, or no cap when that
+/// factor is 0. Strictly more violations than the cap is hopeless.
+int64_t VariantViolationCap(const CVTolerantOptions& options, int num_rows);
+
+/// The facts of constraint `c` from its detected violations over `I` (or
+/// `hopeless` when detection hit the violation cap): stamps the violations
+/// position-free, sorts them into canonical rows order, and bounds the
+/// constraint's conflict hypergraph under options.vfree's cost model and
+/// cover. `stats_of_I` feeds the kEntropyDensity cover (graph/bounds.h).
+/// Both facts providers — the full scans of ScanVariantFacts and the
+/// delta-maintained VariantTracker — derive facts here.
+VariantFacts MakeVariantFacts(const Relation& I, const DenialConstraint& c,
+                              std::vector<Violation> violations,
+                              bool hopeless, const CVTolerantOptions& options,
+                              const DomainStats* stats_of_I);
+
+/// The domain statistics of `I` that MakeVariantFacts bounds with: built
+/// only when the bound cover reads them (kEntropyDensity), empty otherwise.
+std::optional<DomainStats> VariantFactsStats(const Relation& I,
+                                             const CVTolerantOptions& options);
 
 /// Facts provider: returns the facts of one constraint. The reference must
 /// stay valid for the duration of the search call.
@@ -121,6 +150,7 @@ struct VariantSearchResult {
   bool have_result = false;
   int datarepair_calls = 0;
   int variants_pruned = 0;  ///< hopeless + bound-pruned candidates
+  int sigma_violations = 0;  ///< violations of Σ itself (capped facts)
   /// Aligned with the input `variants`: the realized repair cost where the
   /// search solved that candidate, NaN where it was pruned, aborted on the
   /// δ_min bound, or cut by the call budget. Bound maintainers use these to
@@ -140,25 +170,32 @@ struct VariantSearchResult {
 /// with δ_u(Σ) when θ >= 0, processes candidates in ascending-δ_l order
 /// under bound pruning and the DataRepair budget, and repairs each survivor
 /// through the canonicalized SolveDirtyComponents pipeline with one shared
-/// MaterializedCache. Both the scratch path (facts from full scans, see
-/// ScanVariantFacts) and the streaming reopen path (facts delta-maintained
-/// by a VariantTracker) run this same function on the same variant family,
-/// which is what makes streamed-vs-scratch equivalence exact: equal facts in,
-/// bit-identical chosen variant and repair out (modulo fresh-id numbering
-/// from `fresh_counter`). Unlike CVTolerantRepair it has no repair-of-Σ
-/// fallback: `have_result` is false when every candidate was pruned or
-/// aborted, and the caller decides (a streaming caller keeps its incumbent).
+/// MaterializedCache — or, with options.use_vfree off, with HolisticRepair.
+/// CVTolerantRepair (facts from ScanVariantFacts) and the streaming reopen
+/// path (facts delta-maintained by a VariantTracker) both run this function
+/// on the same variant family, which is what makes streamed-vs-scratch
+/// equivalence exact: equal facts in, bit-identical chosen variant and
+/// repair out (modulo fresh-id numbering from `fresh_counter`). There is no
+/// repair-of-Σ fallback: `have_result` is false when every candidate was
+/// pruned or aborted, and the caller decides (CVTolerantRepair repairs Σ, a
+/// streaming caller keeps its incumbent). `stats`, when given, accumulates
+/// the engine counters of every candidate solve (solver calls, cache hits,
+/// suspects, decomposition, and the fresh/deleted counts of all candidates
+/// rather than the chosen one).
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
     const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr);
+    const EncodedRelation* encoded = nullptr, RepairStats* stats = nullptr);
 
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
 /// by full capped detection scans on I — the from-scratch twin of a
-/// VariantTracker's delta-maintained facts. Scans run on `encoded` when
-/// given (and options.use_encoded), boxed otherwise; the facts are
-/// identical either way.
+/// VariantTracker's delta-maintained facts. With options.reuse_index the
+/// scans share one EvalIndex per base constraint; distinct constraints are
+/// scanned in parallel under options.threads. Scans run on `encoded` when
+/// given (and options.use_encoded), boxed otherwise. The facts are
+/// identical with or without the index or the encoded backend, at any
+/// thread count.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,

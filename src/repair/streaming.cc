@@ -9,8 +9,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/bounds.h"
-#include "graph/conflict_hypergraph.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -95,41 +93,24 @@ VariantTracker::VariantTracker(const Relation& dirty,
   abort_bounds_.assign(variants_.size(),
                        std::numeric_limits<double>::quiet_NaN());
   abort_gen_.assign(variants_.size(), -1);
-  for (size_t k = 0; k < family_.size(); ++k) RefreshFacts(k);
-}
-
-int64_t VariantTracker::ViolationCap() const {
-  return options_.max_violations_per_tuple > 0
-             ? static_cast<int64_t>(
-                   options_.max_violations_per_tuple *
-                   std::max(index_->relation().num_rows(), 1))
-             : std::numeric_limits<int64_t>::max();
-}
-
-void VariantTracker::RefreshFacts(size_t k) {
-  VariantFacts& f = facts_[k];
-  f = VariantFacts{};
-  if (index_->ViolationCountOf(static_cast<int>(k)) > ViolationCap()) {
-    // Mirrors the exact-cap semantics of FindViolationsOfCapped: strictly
-    // more violations than the cap is hopeless.
-    f.hopeless = true;
-    f.delta_l = std::numeric_limits<double>::infinity();
-    f.delta_u = std::numeric_limits<double>::infinity();
-  } else {
-    f.violations = index_->ViolationsOf(static_cast<int>(k));
-    // Facts carry position-free violations (constraint_index 0), exactly
-    // like the per-constraint scans of ScanVariantFacts; the search
-    // re-stamps candidate positions when it assembles a union set.
-    for (Violation& v : f.violations) v.constraint_index = 0;
-    if (!f.violations.empty()) {
-      ConflictHypergraph g = ConflictHypergraph::Build(
-          index_->relation(), {family_[k]}, f.violations, options_.vfree.cost);
-      RepairCostBounds bounds = ComputeBounds(
-          g, family_[k].Degree(), options_.vfree.cost, options_.vfree.cover);
-      f.delta_l = bounds.lower;
-      f.delta_u = bounds.upper;
-    }
+  const int64_t cap = VariantViolationCap(options_, dirty.num_rows());
+  const std::optional<DomainStats> stats_of_D =
+      VariantFactsStats(dirty, options_);
+  for (size_t k = 0; k < family_.size(); ++k) {
+    RefreshFacts(k, cap, stats_of_D ? &*stats_of_D : nullptr);
   }
+}
+
+void VariantTracker::RefreshFacts(size_t k, int64_t cap,
+                                  const DomainStats* stats_of_D) {
+  // Mirrors the exact-cap semantics of FindViolationsOfCapped: strictly
+  // more violations than the cap is hopeless.
+  const bool hopeless = index_->ViolationCountOf(static_cast<int>(k)) > cap;
+  facts_[k] = MakeVariantFacts(
+      index_->relation(), family_[k],
+      hopeless ? std::vector<Violation>{}
+               : index_->ViolationsOf(static_cast<int>(k)),
+      hopeless, options_, stats_of_D);
   seen_epochs_[k] = index_->ViolationEpochOf(static_cast<int>(k));
   changed_gen_[k] = generation_;
 }
@@ -155,8 +136,9 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
   }
   index_->ApplyBatch(changing);
   ++generation_;
-  int updates = 0;
-  const int64_t cap = ViolationCap();
+  const int64_t cap =
+      VariantViolationCap(options_, index_->relation().num_rows());
+  std::vector<size_t> stale;
   for (size_t k = 0; k < family_.size(); ++k) {
     const bool epoch_moved =
         index_->ViolationEpochOf(static_cast<int>(k)) != seen_epochs_[k];
@@ -164,10 +146,16 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
     // when the constraint's violation set did not change.
     const bool hopeless_now =
         index_->ViolationCountOf(static_cast<int>(k)) > cap;
-    if (!epoch_moved && hopeless_now == facts_[k].hopeless) continue;
-    RefreshFacts(k);
-    ++updates;
+    if (epoch_moved || hopeless_now != facts_[k].hopeless) stale.push_back(k);
   }
+  if (!stale.empty()) {
+    const std::optional<DomainStats> stats_of_D =
+        VariantFactsStats(index_->relation(), options_);
+    for (size_t k : stale) {
+      RefreshFacts(k, cap, stats_of_D ? &*stats_of_D : nullptr);
+    }
+  }
+  const int updates = static_cast<int>(stale.size());
   span.AddArg("bound_updates", updates);
   return updates;
 }
@@ -248,14 +236,7 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
   initial_stats_ = initial.stats;
   // Continue fresh ids above any the initial repair minted, so streamed
   // fixes never alias an existing fv.
-  for (int r = 0; r < initial.repaired.num_rows(); ++r) {
-    for (AttrId a = 0; a < initial.repaired.num_attributes(); ++a) {
-      const Value& v = initial.repaired.Get(r, a);
-      if (v.is_fresh()) {
-        fresh_counter_ = std::max(fresh_counter_, v.fresh_id() + 1);
-      }
-    }
-  }
+  fresh_counter_ = std::max(fresh_counter_, NextFreshId(initial.repaired));
   index_ = std::make_unique<ViolationIndex>(initial.repaired, variant_,
                                             options_.repair.use_encoded);
 }

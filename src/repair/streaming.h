@@ -142,8 +142,7 @@ class VariantTracker {
   }
 
  private:
-  void RefreshFacts(size_t k);
-  int64_t ViolationCap() const;
+  void RefreshFacts(size_t k, int64_t cap, const DomainStats* stats_of_D);
 
   ConstraintSet sigma_;
   CVTolerantOptions options_;

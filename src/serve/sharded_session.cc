@@ -164,14 +164,7 @@ ShardedSession::ShardedSession(const Relation& I, const ConstraintSet& sigma,
   initial_stats_ = initial.stats;
   // Continue fresh ids above any the initial repair minted, so streamed
   // fixes never alias an existing fv — identical to StreamingRepairer.
-  for (int r = 0; r < initial.repaired.num_rows(); ++r) {
-    for (AttrId a = 0; a < initial.repaired.num_attributes(); ++a) {
-      const Value& v = initial.repaired.Get(r, a);
-      if (v.is_fresh()) {
-        fresh_counter_ = std::max(fresh_counter_, v.fresh_id() + 1);
-      }
-    }
-  }
+  fresh_counter_ = std::max(fresh_counter_, NextFreshId(initial.repaired));
 
   plan_ = PlanShards(variant_);
   ConstraintSet straddling_sigma;

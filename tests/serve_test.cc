@@ -322,7 +322,9 @@ TEST(ServeTest, ShardKeyEditMigratesRow) {
     keys_equal &= !v.is_null() && !v.is_fresh() &&
                   v == sharded.current().Get(donor, at);
   }
-  if (keys_equal) EXPECT_EQ(sharded.HomeOf(victim), sharded.HomeOf(donor));
+  if (keys_equal) {
+    EXPECT_EQ(sharded.HomeOf(victim), sharded.HomeOf(donor));
+  }
 }
 
 // Tombstone re-homing probe: under the delete strategy the per-batch
