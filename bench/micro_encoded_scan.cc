@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "dc/eval_index.h"
 #include "dc/scan_kernels.h"
 #include "dc/violation.h"
 #include "relation/encoded.h"
@@ -226,7 +225,7 @@ int main() {
                          {"truncated", blk_trunc ? 1 : 0}});
   }
 
-  // ---- End-to-end repair work counters (index + detection together).
+  // ---- End-to-end repair work counters (facts scan + candidate solves).
   {
     RepairResult with = run(true, 1);
     RepairResult without = run(false, 1);

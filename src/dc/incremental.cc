@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "dc/eval_index.h"
 #include "dc/scan_kernels.h"
+#include "dc/violation.h"
 
 namespace cvrepair {
 

@@ -34,9 +34,9 @@ std::vector<Predicate> BuildPredicateSpace(
 /// The sorted, deduplicated attributes joined with equality across the two
 /// tuple variables (predicates of the form t0.A = t1.A). This is the
 /// grouping structure shared by hash-partitioned violation detection
-/// (dc/violation.cc, dc/eval_index.cc) and the variant generator's
-/// conditional-support sampling: two rows can only instantiate a violation
-/// of the constraint if they agree on every one of these attributes.
+/// (dc/violation.cc) and the variant generator's conditional-support
+/// sampling: two rows can only instantiate a violation of the constraint
+/// if they agree on every one of these attributes.
 std::vector<AttrId> EqualityJoinAttrs(const std::vector<Predicate>& preds);
 
 }  // namespace cvrepair

@@ -1,18 +1,15 @@
 #ifndef CVREPAIR_DC_SCAN_INTERNAL_H_
 #define CVREPAIR_DC_SCAN_INTERNAL_H_
 
-// Shared plumbing of the capped violation scans, used by both the plain
-// detector (dc/violation.cc) and the shared evaluation index
-// (dc/eval_index.cc). Keeping the shard/merge mechanics in one place is
-// what guarantees the two paths stay bit-identical: they split work and
-// trim capped prefixes with literally the same code.
+// Shared plumbing of the capped violation scans of dc/violation.cc: the
+// boxed and encoded detectors split work and trim capped prefixes with
+// literally the same code, which keeps them bit-identical.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "dc/eval_index.h"
 #include "dc/violation.h"
 #include "relation/value.h"
 

@@ -36,7 +36,7 @@
 // the predicate — a sound skip, never required for correctness.
 //
 // SetBlockScanEnabled(false) reverts every consumer (dc/violation.cc,
-// dc/eval_index.cc, dc/incremental.cc) to the row-at-a-time scan; the
+// dc/incremental.cc) to the row-at-a-time scan; the
 // benches use it to compare work counters and the tests to prove result
 // equality.
 

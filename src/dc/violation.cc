@@ -5,15 +5,102 @@
 #include <limits>
 #include <unordered_map>
 
-#include "dc/eval_index.h"
 #include "dc/predicate_space.h"
 #include "dc/scan_internal.h"
 #include "dc/scan_kernels.h"
 #include "relation/encoded.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
+
+namespace eval_counters {
+namespace {
+
+// Process-wide totals, registered in the MetricsRegistry under the "eval."
+// prefix so metrics.json carries them. Handles are resolved once; scans
+// flush local counts in bulk and readers only look after the scans they
+// measure have returned.
+struct Handles {
+  MetricCounter* partition_builds;
+  MetricCounter* predicate_evals;
+  MetricCounter* code_predicate_evals;
+  MetricCounter* truncated_scans;
+  MetricCounter* blocks_scanned;
+  MetricCounter* blocks_skipped;
+};
+
+const Handles& H() {
+  static const Handles* h = [] {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    Handles* fresh = new Handles();
+    fresh->partition_builds = r.GetCounter("eval.partition_builds");
+    fresh->predicate_evals = r.GetCounter("eval.predicate_evals");
+    fresh->code_predicate_evals = r.GetCounter("eval.code_predicate_evals");
+    fresh->truncated_scans = r.GetCounter("eval.truncated_scans");
+    fresh->blocks_scanned = r.GetCounter("eval.blocks_scanned");
+    fresh->blocks_skipped = r.GetCounter("eval.blocks_skipped");
+    return fresh;
+  }();
+  return *h;
+}
+
+}  // namespace
+
+EvalCounters Snapshot() {
+  const Handles& h = H();
+  EvalCounters c;
+  c.partition_builds = h.partition_builds->value();
+  c.predicate_evals = h.predicate_evals->value();
+  c.code_predicate_evals = h.code_predicate_evals->value();
+  c.truncated_scans = h.truncated_scans->value();
+  c.blocks_scanned = h.blocks_scanned->value();
+  c.blocks_skipped = h.blocks_skipped->value();
+  return c;
+}
+
+void Reset() {
+  const Handles& h = H();
+  h.partition_builds->Reset();
+  h.predicate_evals->Reset();
+  h.code_predicate_evals->Reset();
+  h.truncated_scans->Reset();
+  h.blocks_scanned->Reset();
+  h.blocks_skipped->Reset();
+}
+
+void Add(const EvalCounters& d) {
+  const Handles& h = H();
+  if (d.partition_builds) h.partition_builds->Add(d.partition_builds);
+  if (d.predicate_evals) h.predicate_evals->Add(d.predicate_evals);
+  if (d.code_predicate_evals)
+    h.code_predicate_evals->Add(d.code_predicate_evals);
+  if (d.truncated_scans) h.truncated_scans->Add(d.truncated_scans);
+  if (d.blocks_scanned) h.blocks_scanned->Add(d.blocks_scanned);
+  if (d.blocks_skipped) h.blocks_skipped->Add(d.blocks_skipped);
+  if (Tracer::enabled()) {
+    Tracer::AddCounterDelta("eval.partition_builds", d.partition_builds);
+    Tracer::AddCounterDelta("eval.predicate_evals", d.predicate_evals);
+    Tracer::AddCounterDelta("eval.code_predicate_evals",
+                            d.code_predicate_evals);
+    Tracer::AddCounterDelta("eval.truncated_scans", d.truncated_scans);
+    Tracer::AddCounterDelta("eval.blocks_scanned", d.blocks_scanned);
+    Tracer::AddCounterDelta("eval.blocks_skipped", d.blocks_skipped);
+  }
+}
+
+void AddScan(const EvalCounters& delta, bool truncated) {
+  if (!truncated) {
+    Add(delta);
+    return;
+  }
+  EvalCounters only_truncation;
+  only_truncation.truncated_scans = 1;
+  Add(only_truncation);
+}
+
+}  // namespace eval_counters
 
 namespace {
 
@@ -27,7 +114,7 @@ using scan_internal::ValueVecHash;
 // The scans below are templated on an evaluator with
 //   bool IsViolated(const std::vector<int>& rows, EvalCounters* local);
 // counting each predicate evaluation (same short-circuit order as
-// DenialConstraint::IsViolated) so indexed, encoded, and plain scans of
+// DenialConstraint::IsViolated) so encoded and plain scans of
 // the same workload stay comparable. PlainEval counts boxed-Value evals;
 // EncodedConstraintEval (relation/encoded.h) counts code evals.
 struct PlainEval {
@@ -85,9 +172,8 @@ void ScanJoinBlocksWith(std::vector<std::vector<int>>& all_blocks,
     work += static_cast<int64_t>(members.size()) * members.size();
   }
   // Blocks sorted by first member — a canonical scan order that any
-  // other producer of the same partition (e.g. the shared EvalIndex,
-  // which derives partitions instead of hashing, or the encoded scan,
-  // which buckets on codes instead of values) reproduces exactly.
+  // other producer of the same partition (e.g. the encoded scan, which
+  // buckets on codes instead of values) reproduces exactly.
   // Members are ascending within a block, so first-member order is
   // well-defined and unique.
   std::sort(blocks.begin(), blocks.end(),

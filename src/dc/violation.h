@@ -1,6 +1,7 @@
 #ifndef CVREPAIR_DC_VIOLATION_H_
 #define CVREPAIR_DC_VIOLATION_H_
 
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -24,6 +25,72 @@ struct Violation {
     return a.constraint_index == b.constraint_index && a.rows == b.rows;
   }
 };
+
+/// Process-wide evaluation counters of the violation scans below (and the
+/// incremental rechecks of dc/incremental.cc). They make detection work
+/// *checkable*: tests, benches and the CLI compare the partition-build,
+/// predicate-evaluation and zone-map totals of a run across thread counts
+/// and backends, and the metrics.json CI contract pins them.
+struct EvalCounters {
+  int64_t partition_builds = 0;   ///< hash partitions built by a full scan
+  int64_t predicate_evals = 0;    ///< single-predicate evals on boxed Values
+  int64_t code_predicate_evals = 0;  ///< single-predicate evals on int codes
+  int64_t truncated_scans = 0;    ///< capped scans that hit their cap
+  int64_t blocks_scanned = 0;     ///< zone-map consults that ran the block
+  int64_t blocks_skipped = 0;     ///< zone-map consults that pruned it
+
+  EvalCounters& operator+=(const EvalCounters& o) {
+    partition_builds += o.partition_builds;
+    predicate_evals += o.predicate_evals;
+    code_predicate_evals += o.code_predicate_evals;
+    truncated_scans += o.truncated_scans;
+    blocks_scanned += o.blocks_scanned;
+    blocks_skipped += o.blocks_skipped;
+    return *this;
+  }
+  EvalCounters& operator-=(const EvalCounters& o) {
+    partition_builds -= o.partition_builds;
+    predicate_evals -= o.predicate_evals;
+    code_predicate_evals -= o.code_predicate_evals;
+    truncated_scans -= o.truncated_scans;
+    blocks_scanned -= o.blocks_scanned;
+    blocks_skipped -= o.blocks_skipped;
+    return *this;
+  }
+  friend EvalCounters operator+(EvalCounters a, const EvalCounters& b) {
+    a += b;
+    return a;
+  }
+  friend EvalCounters operator-(EvalCounters a, const EvalCounters& b) {
+    a -= b;
+    return a;
+  }
+  friend bool operator==(const EvalCounters&, const EvalCounters&) = default;
+};
+
+namespace eval_counters {
+
+/// Current process-wide totals. Exact once the scans being measured have
+/// returned (counters live in the MetricsRegistry as relaxed atomics,
+/// bulk-flushed per scan, so the hot loops never touch an atomic).
+EvalCounters Snapshot();
+
+/// Zeroes the totals (tests only; scans never read them).
+void Reset();
+
+/// Bulk-adds a scan's locally accumulated counts.
+void Add(const EvalCounters& delta);
+
+/// Flushes a finished capped scan's counts. Truncated scans contribute
+/// only `truncated_scans` (their eval counts are discarded): how much a
+/// scan over-scans past its cap depends on how it was sharded, so keeping
+/// those evals would make the totals vary with --threads. Whether the scan
+/// truncates does *not* depend on sharding (the cap-th surplus violation
+/// either exists or not), so what remains is a deterministic function of
+/// the workload — the property the metrics.json CI contract rests on.
+void AddScan(const EvalCounters& delta, bool truncated);
+
+}  // namespace eval_counters
 
 /// The distinct cells cell(t_i, t_j, ...; φ) involved in the predicates of
 /// the constraint instantiated on `rows` (Section 3.2.1).

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "dc/constraint.h"
-#include "dc/eval_index.h"
 #include "dc/predicate.h"
+#include "dc/violation.h"
 
 namespace cvrepair {
 

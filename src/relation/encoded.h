@@ -3,8 +3,8 @@
 
 // Dictionary-encoded columnar view of a Relation.
 //
-// Every hot scan in the system (violation detection, the shared
-// evaluation index, suspect enumeration, incremental maintenance)
+// Every hot scan in the system (violation detection, suspect
+// enumeration, incremental maintenance)
 // ultimately compares boxed Value variants stored row-major. This header
 // provides the integer-coded mirror those scans consume instead:
 //

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 
-#include "dc/eval_index.h"
 #include "graph/bounds.h"
 #include "relation/encoded.h"
 #include "solver/materialized_cache.h"
@@ -102,12 +100,8 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
   }
   EvalCounters counters_delta = eval_counters::Snapshot() - counters_before;
   result.stats.index_partition_builds = counters_delta.partition_builds;
-  result.stats.index_partition_reuses = counters_delta.partition_hits +
-                                        counters_delta.partition_refines +
-                                        counters_delta.partition_merges;
   result.stats.index_predicate_evals = counters_delta.predicate_evals;
   result.stats.index_code_evals = counters_delta.code_predicate_evals;
-  result.stats.index_memo_hits = counters_delta.memo_hits;
   result.stats.index_truncated_scans = counters_delta.truncated_scans;
   result.stats.index_blocks_scanned = counters_delta.blocks_scanned;
   result.stats.index_blocks_skipped = counters_delta.blocks_skipped;
@@ -203,39 +197,6 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const CVTolerantOptions& options, const EncodedRelation* encoded) {
   const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
 
-  // One shared evaluation index per base constraint: every variant of
-  // sigma[i] (the i-th position of each SigmaVariant) detects violations
-  // through indexes[i], deriving its hash partition from the base's and
-  // answering base-shared predicates from the memo. Variants are
-  // positionally aligned with Σ, so the owning base is the position. The
-  // indexes are freed when the scan returns.
-  std::vector<std::unique_ptr<EvalIndex>> indexes;
-  std::map<DenialConstraint, const EvalIndex*> index_of;
-  if (options.reuse_index) {
-    TraceSpan span("cvtolerant/build_indexes");
-    span.AddArg("bases", static_cast<int64_t>(sigma.size()));
-    indexes.reserve(sigma.size());
-    for (const DenialConstraint& phi : sigma) {
-      indexes.push_back(std::make_unique<EvalIndex>(
-          I, phi, EvalIndex::kDefaultMemoBudget, E));
-    }
-    // Registration and Prepare run serially (position order, so a
-    // constraint shared by several bases deterministically uses the first);
-    // afterwards the indexes are read-only and safe to share across the
-    // pool threads below.
-    auto register_constraint = [&](const DenialConstraint& c, size_t pos) {
-      if (pos >= indexes.size()) return;
-      auto [it, inserted] = index_of.try_emplace(c, indexes[pos].get());
-      if (inserted) indexes[pos]->Prepare(c);
-    };
-    for (size_t i = 0; i < sigma.size(); ++i) register_constraint(sigma[i], i);
-    for (const SigmaVariant& sv : variants) {
-      for (size_t i = 0; i < sv.constraints.size(); ++i) {
-        register_constraint(sv.constraints[i], i);
-      }
-    }
-  }
-
   // Facts are pure per-constraint functions of I, so all distinct
   // constraints across Σ and every variant are evaluated up front — in
   // parallel under a thread budget, serially (inline, same order) at one
@@ -259,13 +220,10 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
       static_cast<int64_t>(todo.size()),
       [&](int64_t i) {
         const DenialConstraint& c = todo[static_cast<size_t>(i)]->first;
-        auto idx = index_of.find(c);
         bool hopeless = false;
         std::vector<Violation> violations =
-            idx != index_of.end()
-                ? idx->second->FindViolationsCapped(c, 0, cap, &hopeless)
-            : E ? FindViolationsOfCapped(*E, c, 0, cap, &hopeless)
-                : FindViolationsOfCapped(I, c, 0, cap, &hopeless);
+            E ? FindViolationsOfCapped(*E, c, 0, cap, &hopeless)
+              : FindViolationsOfCapped(I, c, 0, cap, &hopeless);
         todo[static_cast<size_t>(i)]->second =
             MakeVariantFacts(I, c, std::move(violations), hopeless, options,
                              stats_of_I ? &*stats_of_I : nullptr);

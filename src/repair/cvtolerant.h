@@ -48,21 +48,12 @@ struct CVTolerantOptions {
   /// the Vfree engine when `vfree.threads` is 0. Every thread count yields
   /// bit-identical RepairResults; only wall-clock time changes.
   int threads = 0;
-  /// Share one evaluation index per base constraint across its variants:
-  /// hash partitions are derived (refined/merged) instead of rebuilt, and
-  /// predicate verdicts shared with the base come from a memo, so each
-  /// variant only evaluates its delta predicates. The RepairResult is
-  /// bit-identical with the index on or off, at any thread count; the
-  /// stats.index_* counters record the work saved. Off = the plain
-  /// per-variant scans (for A/B runs and debugging).
-  bool reuse_index = true;
   /// Detect violations and suspects on the dictionary-encoded columnar
   /// backend (relation/encoded.h): one EncodedRelation of I is built up
-  /// front and shared by the evaluation indexes, fallback scans, and the
-  /// Vfree engine. Predicates then evaluate on integer codes
-  /// (stats.index_code_evals) instead of boxed Values
-  /// (stats.index_predicate_evals). The RepairResult is bit-identical
-  /// either way, at any thread count.
+  /// front and shared by the facts scan and the Vfree engine. Predicates
+  /// then evaluate on integer codes (stats.index_code_evals) instead of
+  /// boxed Values (stats.index_predicate_evals). The RepairResult is
+  /// bit-identical either way, at any thread count.
   bool use_encoded = true;
 };
 
@@ -190,12 +181,11 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
 /// by full capped detection scans on I — the from-scratch twin of a
-/// VariantTracker's delta-maintained facts. With options.reuse_index the
-/// scans share one EvalIndex per base constraint; distinct constraints are
-/// scanned in parallel under options.threads. Scans run on `encoded` when
-/// given (and options.use_encoded), boxed otherwise. The facts are
-/// identical with or without the index or the encoded backend, at any
-/// thread count.
+/// VariantTracker's delta-maintained facts. Distinct constraints are
+/// scanned in parallel under options.threads, each by one
+/// FindViolationsOfCapped: on `encoded` when given (and
+/// options.use_encoded), boxed otherwise. The facts are identical on
+/// either backend, at any thread count.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,

@@ -1,11 +1,11 @@
 #ifndef CVREPAIR_UTIL_METRICS_H_
 #define CVREPAIR_UTIL_METRICS_H_
 
-// Unified metrics registry: every subsystem counter (scan work, index
-// reuse, solver cache traffic, streaming ingest, thread-pool scheduling)
+// Unified metrics registry: every subsystem counter (scan work, solver
+// cache traffic, streaming ingest, thread-pool scheduling)
 // lives behind one named handle so a whole run can be snapshotted, diffed,
 // and exported as machine-readable JSON. Current namespaces: "eval.*"
-// (shared evaluation index + block scans: predicate/code evals, partition
+// (violation scans + block scans: predicate/code evals, partition
 // work, and the zone-map pair blocks_scanned/blocks_skipped — consults
 // that ran vs. pruned a column block), "cache.*" (materialized component
 // cache),

@@ -64,6 +64,7 @@ TEST_F(CliTest, RepairWritesCsvAndReport) {
   EXPECT_NE(out.find("cells changed:    1"), std::string::npos) << out;
   EXPECT_NE(out.find("satisfied constraints:"), std::string::npos) << out;
   EXPECT_NE(out.find("t3.Value: BAD -> x"), std::string::npos) << out;
+  EXPECT_NE(out.find("scan:             "), std::string::npos) << out;
 
   std::ifstream f(dir_ + "/repaired.csv");
   ASSERT_TRUE(f.is_open());
@@ -103,27 +104,60 @@ TEST_F(CliTest, NegativeThreadsRejected) {
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, BadReuseIndexValueRejected) {
-  std::string out = RunAndCapture(
-      cli_ + " --schema " + dir_ + "/schema.txt --data " + dir_ +
-      "/data.csv --constraints " + dir_ + "/rules.txt --reuse-index yes");
-  EXPECT_NE(out.find("--reuse-index must be 0 or 1"), std::string::npos)
-      << out;
+// Numeric flags parse as whole tokens: trailing characters, empty or
+// non-finite values, and out-of-range values are rejected by the argument
+// parser, before any data is generated or any pool thread starts. (A
+// --threads value above the ceiling is only ever parsed here, never run.)
+TEST_F(CliTest, MalformedNumericFlagsRejected) {
+  struct Case {
+    std::string args;
+    std::string message;
+  };
+  const Case cases[] = {
+      {"--threads abc", "--threads must be an integer, got 'abc'"},
+      {"--threads 4x", "--threads must be an integer, got '4x'"},
+      {"--threads ''", "--threads must be an integer, got ''"},
+      {"--threads ' 4'", "--threads must be an integer, got ' 4'"},
+      {"--threads 99999999999999999999", "--threads must be an integer"},
+      {"--threads 257", "--threads must be <= 256"},
+      {"--size 12x", "--size must be an integer, got '12x'"},
+      {"--size 1.5", "--size must be an integer, got '1.5'"},
+      {"--max-component 3.5", "--max-component must be an integer"},
+      {"--clients two", "--clients must be an integer"},
+      {"--error-rate x", "--error-rate must be a finite number, got 'x'"},
+      {"--error-rate nan", "--error-rate must be a finite number"},
+      {"--error-rate 0.1.2", "--error-rate must be a finite number"},
+      {"--error-rate 1.5", "--error-rate must be in [0, 1]"},
+      {"--theta inf", "--theta must be a finite number, got 'inf'"},
+      {"--theta 1e999", "--theta must be a finite number"},
+      {"--lambda 0.5", "--lambda must be in [-1, 0]"},
+      {"--lambda -1.01", "--lambda must be in [-1, 0]"},
+      {"--lambda -0.5x", "--lambda must be a finite number"},
+      {"--confidence high", "--confidence must be a finite number"},
+  };
+  for (const Case& c : cases) {
+    // A generated workload would run a repair if a bad value slipped
+    // through (e.g. as 0, which --error-rate reads as clean data and
+    // --threads as all hardware threads).
+    SCOPED_TRACE(c.args);
+    std::string out =
+        RunAndCapture(cli_ + " --generate census --size 50 " + c.args);
+    EXPECT_NE(out.find(c.message), std::string::npos) << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+    EXPECT_EQ(out.find("cells changed"), std::string::npos) << out;
+  }
 }
 
-// --reuse-index only changes the work counters, never the repair: both
-// modes must report the same changed cells, and the stats line must expose
-// the index-cache counters.
-TEST_F(CliTest, ReuseIndexTogglesCacheNotResults) {
+// The range ends themselves are accepted.
+TEST_F(CliTest, NumericFlagBoundsAccepted) {
   std::string base = cli_ + " --schema " + dir_ + "/schema.txt --data " +
                      dir_ + "/data.csv --constraints " + dir_ +
-                     "/rules.txt --theta 0";
-  std::string with = RunAndCapture(base + " --reuse-index 1");
-  std::string without = RunAndCapture(base + " --reuse-index 0");
-  EXPECT_NE(with.find("cells changed:    1"), std::string::npos) << with;
-  EXPECT_NE(without.find("cells changed:    1"), std::string::npos) << without;
-  EXPECT_NE(with.find("index cache:"), std::string::npos) << with;
-  EXPECT_NE(without.find("index cache:"), std::string::npos) << without;
+                     "/rules.txt --theta 0 --threads 2";
+  for (const char* lambda : {"-1", "0", "-0.5e0"}) {
+    SCOPED_TRACE(lambda);
+    std::string out = RunAndCapture(base + " --lambda " + lambda);
+    EXPECT_NE(out.find("cells changed:    1"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliTest, BadEncodedValueRejected) {

@@ -16,7 +16,6 @@
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
-#include "dc/eval_index.h"
 #include "dc/predicate.h"
 #include "dc/violation.h"
 

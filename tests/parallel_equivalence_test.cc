@@ -7,14 +7,11 @@
 #include <string>
 #include <vector>
 
-#include <limits>
-
 #include "data/census.h"
 #include "data/gps.h"
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "data/tax.h"
-#include "dc/eval_index.h"
 #include "dc/violation.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
@@ -257,48 +254,6 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
       EXPECT_EQ(serial, parallel) << "hosp fd #" << k << " cap " << cap;
       EXPECT_EQ(serial_truncated, parallel_truncated)
           << "hosp fd #" << k << " cap " << cap;
-    }
-  }
-}
-
-// One EvalIndex per base constraint, prepared serially and then scanned
-// through concurrently: the scans must be bit-identical to the plain
-// detector at every thread count (and race-free under TSan — the index is
-// read-only after Prepare, and the eval counters are relaxed atomics).
-TEST(ParallelEquivalence, SharedIndexScansIdenticalAcrossThreads) {
-  PoolGuard guard;
-  for (const Workload& w : MakeWorkloads()) {
-    for (size_t k = 0; k < w.sigma.size(); ++k) {
-      EvalIndex index(w.dirty, w.sigma[k]);
-      index.Prepare(w.sigma[k]);
-      for (int64_t cap :
-           {int64_t{1}, int64_t{5}, std::numeric_limits<int64_t>::max()}) {
-        ThreadPool::SetNumThreads(1);
-        bool plain_truncated = false;
-        std::vector<Violation> plain = FindViolationsOfCapped(
-            w.dirty, w.sigma[k], static_cast<int>(k), cap, &plain_truncated);
-        for (int threads : {1, 4}) {
-          ThreadPool::SetNumThreads(threads);
-          // Concurrent scans of one shared index: every pool worker reads
-          // the same partitions and memo.
-          std::vector<std::vector<Violation>> results(4);
-          std::vector<char> truncated(4, 0);
-          ThreadPool::ParallelFor(4, [&](int64_t i) {
-            bool t = false;
-            results[static_cast<size_t>(i)] = index.FindViolationsCapped(
-                w.sigma[k], static_cast<int>(k), cap, &t);
-            truncated[static_cast<size_t>(i)] = t ? 1 : 0;
-          });
-          for (int i = 0; i < 4; ++i) {
-            EXPECT_EQ(plain, results[static_cast<size_t>(i)])
-                << w.name << " #" << k << " cap " << cap << " threads "
-                << threads;
-            EXPECT_EQ(plain_truncated, truncated[static_cast<size_t>(i)] != 0)
-                << w.name << " #" << k << " cap " << cap << " threads "
-                << threads;
-          }
-        }
-      }
     }
   }
 }

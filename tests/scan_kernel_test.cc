@@ -25,7 +25,6 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "data/tax.h"
-#include "dc/eval_index.h"
 #include "dc/incremental.h"
 #include "dc/scan_kernels.h"
 #include "dc/violation.h"
@@ -281,15 +280,6 @@ ScanOutcome RunScans(const Workload& w, const EncodedRelation& E,
   return out;
 }
 
-bool SameCounters(const EvalCounters& a, const EvalCounters& b) {
-  return a.predicate_evals == b.predicate_evals &&
-         a.code_predicate_evals == b.code_predicate_evals &&
-         a.partition_builds == b.partition_builds &&
-         a.truncated_scans == b.truncated_scans &&
-         a.blocks_scanned == b.blocks_scanned &&
-         a.blocks_skipped == b.blocks_skipped;
-}
-
 TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
   for (const Workload& w : MakeWorkloads()) {
     SCOPED_TRACE(w.name);
@@ -327,7 +317,7 @@ TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
       for (auto& [key, counters] : seen) {
         if (key == std::make_pair(c.block_scan, c.simd)) {
           found = true;
-          EXPECT_TRUE(SameCounters(counters, got.counters))
+          EXPECT_TRUE(counters == got.counters)
               << "work counters vary with --threads";
         }
       }

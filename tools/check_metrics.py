@@ -12,7 +12,7 @@ Baseline format (bench/baselines/*.json)::
     {
       "counters": {"eval.partition_builds": 33, ...},
       "tolerance": 0.0,
-      "tolerances": {"eval.memo_hits": 0.02},
+      "tolerances": {"eval.code_predicate_evals": 0.02},
       "require_zero": ["eval.predicate_evals"],
       "require_nonzero": ["eval.blocks_skipped"],
       "max_ratio": {

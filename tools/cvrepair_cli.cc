@@ -13,8 +13,14 @@
 //                   relation/schema_parser.h).
 // Constraint file:  one constraint per line — "not(...)" DCs or FD sugar
 //                   "A,B -> C" (see dc/parser.h). '#' comments allowed.
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -49,6 +55,15 @@ namespace {
 
 using namespace cvrepair;
 
+/// Ceiling of --threads. The pool grows to threads − 1 OS threads on the
+/// first parallel call, so an unbounded value (a typo such as 40000)
+/// would start that many; no host this tool targets benefits past it.
+constexpr int kMaxThreads = 256;
+
+/// Bound of the flags with no range: ParseDoubleFlag then rejects only
+/// non-finite values.
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
 struct CliOptions {
   std::string schema_path;
   std::string data_path;
@@ -75,7 +90,6 @@ struct CliOptions {
   bool cross_batch_cache = true;
   bool drift = false;  ///< drifting replay (sliding value-source window)
   int threads = 1;
-  bool reuse_index = true;
   bool encoded = true;
   bool decompose = false;
   int max_component = 24;
@@ -108,13 +122,11 @@ int Usage(const char* argv0) {
       << "                     negative values force predicate deletion)\n"
       << "  --lambda X         deletion weight in [-1, 0] (default -0.5)\n"
       << "  --threads N        thread budget for the repair engine\n"
-      << "                     (0 = all hardware threads, 1 = serial;\n"
-      << "                     default 1 — results are identical either "
-         "way)\n"
-      << "  --reuse-index 0|1  share one evaluation index across all\n"
-         "                     constraint variants (default 1; results are\n"
-         "                     identical either way — 0 only disables the\n"
-         "                     reuse, for timing comparisons)\n"
+      << "                     (0 = all hardware threads, 1 = serial, at\n"
+         "                     most "
+      << kMaxThreads
+      << "; default 1 — results are identical\n"
+         "                     either way)\n"
       << "  --encoded 0|1      evaluate predicates on dictionary-encoded\n"
          "                     integer columns (default 1; results are\n"
          "                     identical either way — 0 falls back to\n"
@@ -201,6 +213,52 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
   return true;
 }
 
+/// Parses a numeric flag value as one whole token: no leading whitespace,
+/// no trailing characters, no overflow. Prints an error naming `flag` and
+/// returns false otherwise, or when the value falls outside [lo, hi].
+bool ParseIntFlag(const std::string& flag, const std::string& value, int lo,
+                  int hi, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  long parsed = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    std::cerr << flag << " must be an integer, got '" << value << "'\n";
+    return false;
+  }
+  if (parsed < lo) {
+    std::cerr << flag << " must be "
+              << (lo == 1 ? "> 0" : ">= " + std::to_string(lo)) << "\n";
+    return false;
+  }
+  if (parsed > hi) {
+    std::cerr << flag << " must be <= " << hi << "\n";
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
+/// The floating-point twin of ParseIntFlag; NaN and infinities are
+/// rejected too.
+bool ParseDoubleFlag(const std::string& flag, const std::string& value,
+                     double lo, double hi, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
+    std::cerr << flag << " must be a finite number, got '" << value << "'\n";
+    return false;
+  }
+  if (parsed < lo || parsed > hi) {
+    std::cerr << flag << " must be in [" << lo << ", " << hi << "]\n";
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -230,47 +288,31 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->generate = value;
     } else if (arg == "--size" && next(&value)) {
-      options->size = std::atoi(value.c_str());
-      if (options->size < 0) {
-        std::cerr << "--size must be >= 0\n";
-        return false;
-      }
+      if (!ParseIntFlag(arg, value, 0, INT_MAX, &options->size)) return false;
     } else if (arg == "--stream-batches" && next(&value)) {
-      options->stream_batches = std::atoi(value.c_str());
-      if (options->stream_batches < 0) {
-        std::cerr << "--stream-batches must be >= 0\n";
+      if (!ParseIntFlag(arg, value, 0, INT_MAX, &options->stream_batches)) {
         return false;
       }
     } else if (arg == "--batch-size" && next(&value)) {
-      options->batch_size = std::atoi(value.c_str());
-      if (options->batch_size <= 0) {
-        std::cerr << "--batch-size must be > 0\n";
+      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->batch_size)) {
         return false;
       }
     } else if (arg == "--serve-bench") {
       options->serve_bench = true;
     } else if (arg == "--clients" && next(&value)) {
-      options->clients = std::atoi(value.c_str());
-      if (options->clients <= 0) {
-        std::cerr << "--clients must be > 0\n";
+      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->clients)) {
         return false;
       }
     } else if (arg == "--shards" && next(&value)) {
-      options->shards = std::atoi(value.c_str());
-      if (options->shards <= 0) {
-        std::cerr << "--shards must be > 0\n";
+      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->shards)) {
         return false;
       }
     } else if (arg == "--queue-watermark" && next(&value)) {
-      options->queue_watermark = std::atoi(value.c_str());
-      if (options->queue_watermark <= 0) {
-        std::cerr << "--queue-watermark must be > 0\n";
+      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->queue_watermark)) {
         return false;
       }
     } else if (arg == "--error-rate" && next(&value)) {
-      options->error_rate = std::atof(value.c_str());
-      if (options->error_rate < 0.0 || options->error_rate > 1.0) {
-        std::cerr << "--error-rate must be in [0, 1]\n";
+      if (!ParseDoubleFlag(arg, value, 0.0, 1.0, &options->error_rate)) {
         return false;
       }
     } else if (arg == "--algorithm" && next(&value)) {
@@ -283,23 +325,23 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (arg == "--repr-attr" && next(&value)) {
       options->repr_attr = value;
     } else if (arg == "--theta" && next(&value)) {
-      options->theta = std::atof(value.c_str());
+      if (!ParseDoubleFlag(arg, value, -kUnbounded, kUnbounded,
+                           &options->theta)) {
+        return false;
+      }
     } else if (arg == "--lambda" && next(&value)) {
-      options->lambda = std::atof(value.c_str());
+      if (!ParseDoubleFlag(arg, value, -1.0, 0.0, &options->lambda)) {
+        return false;
+      }
     } else if (arg == "--confidence" && next(&value)) {
-      options->confidence = std::atof(value.c_str());
+      if (!ParseDoubleFlag(arg, value, -kUnbounded, kUnbounded,
+                           &options->confidence)) {
+        return false;
+      }
     } else if (arg == "--threads" && next(&value)) {
-      options->threads = std::atoi(value.c_str());
-      if (options->threads < 0) {
-        std::cerr << "--threads must be >= 0\n";
+      if (!ParseIntFlag(arg, value, 0, kMaxThreads, &options->threads)) {
         return false;
       }
-    } else if (arg == "--reuse-index" && next(&value)) {
-      if (value != "0" && value != "1") {
-        std::cerr << "--reuse-index must be 0 or 1\n";
-        return false;
-      }
-      options->reuse_index = (value == "1");
     } else if (arg == "--encoded" && next(&value)) {
       if (value != "0" && value != "1") {
         std::cerr << "--encoded must be 0 or 1\n";
@@ -313,9 +355,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->decompose = (value == "1");
     } else if (arg == "--max-component" && next(&value)) {
-      options->max_component = std::atoi(value.c_str());
-      if (options->max_component <= 0) {
-        std::cerr << "--max-component must be > 0\n";
+      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->max_component)) {
         return false;
       }
     } else if (arg == "--reopen-variants" && next(&value)) {
@@ -458,7 +498,6 @@ int RunStream(const CliOptions& options, const Relation& data,
   repair_options.variants.cost_model.lambda = options.lambda;
   if (space) repair_options.variants.space = *space;
   repair_options.threads = options.threads;
-  repair_options.reuse_index = options.reuse_index;
   repair_options.use_encoded = options.encoded;
   repair_options.vfree.decompose = options.decompose;
   repair_options.vfree.max_component = options.max_component;
@@ -567,7 +606,6 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   repair_options.variants.cost_model.lambda = options.lambda;
   if (space) repair_options.variants.space = *space;
   repair_options.threads = options.threads;
-  repair_options.reuse_index = options.reuse_index;
   repair_options.use_encoded = options.encoded;
   repair_options.vfree.decompose = options.decompose;
   repair_options.vfree.max_component = options.max_component;
@@ -723,7 +761,6 @@ int RunRepair(const CliOptions& options, const Relation& data,
     repair_options.variants.cost_model.lambda = options.lambda;
     if (space) repair_options.variants.space = *space;
     repair_options.threads = options.threads;
-    repair_options.reuse_index = options.reuse_index;
     repair_options.use_encoded = options.encoded;
     repair_options.vfree.decompose = options.decompose;
     repair_options.vfree.max_component = options.max_component;
@@ -812,12 +849,10 @@ int RunRepair(const CliOptions& options, const Relation& data,
               << " (bound-pruned " << result.stats.variants_pruned_bounds
               << ", DataRepair calls " << result.stats.datarepair_calls
               << ", shared solutions " << result.stats.cache_hits << ")\n";
-    std::cout << "index cache:      " << result.stats.index_partition_builds
-              << " partition builds, " << result.stats.index_partition_reuses
-              << " reuses, " << result.stats.index_predicate_evals
+    std::cout << "scan:             " << result.stats.index_partition_builds
+              << " partition builds, " << result.stats.index_predicate_evals
               << " predicate evals, " << result.stats.index_code_evals
-              << " code evals, " << result.stats.index_memo_hits
-              << " memo hits, " << result.stats.bound_memo_hits
+              << " code evals, " << result.stats.bound_memo_hits
               << " bound memo hits, " << result.stats.index_truncated_scans
               << " truncated scans\n";
     std::cout << "zone maps:        " << result.stats.index_blocks_scanned
