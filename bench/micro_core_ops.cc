@@ -10,6 +10,7 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "graph/bounds.h"
+#include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/csp_solver.h"
 #include "solver/repair_context.h"
@@ -151,17 +152,19 @@ void BM_VariantEnumeration(benchmark::State& state) {
 BENCHMARK(BM_VariantEnumeration)->Arg(1)->Arg(2);
 
 // Deterministic work-counter section for the perf-regression CI gate:
-// one serial violation scan per detector family plus a full Vfree repair,
-// snapshotted into micro_core_ops.metrics.json (compared against
-// bench/baselines/micro_core_ops.json by tools/check_metrics.py).
+// one serial encoded violation scan per detector family (FD join, order
+// DC) plus a full Vfree repair, snapshotted into micro_core_ops.metrics.json
+// (compared against bench/baselines/micro_core_ops.json by
+// tools/check_metrics.py).
 void WriteCoreOpsMetrics() {
   bench::WriteWorkMetrics("micro_core_ops.metrics.json", [] {
     HospEnv& env = Env();
-    FindViolations(env.noisy.dirty, env.hosp.given_oversimplified);
+    FindViolations(EncodedRelation(env.noisy.dirty),
+                   env.hosp.given_oversimplified);
     CensusConfig config;
     config.num_rows = 200;
     CensusData census = MakeCensus(config);
-    FindViolations(census.clean, census.given);
+    FindViolations(EncodedRelation(census.clean), census.given);
     VfreeOptions options;
     options.threads = 1;
     RepairResult repair =

@@ -1,9 +1,10 @@
 #ifndef CVREPAIR_DC_SCAN_INTERNAL_H_
 #define CVREPAIR_DC_SCAN_INTERNAL_H_
 
-// Shared plumbing of the capped violation scans of dc/violation.cc: the
-// boxed and encoded detectors split work and trim capped prefixes with
-// literally the same code, which keeps them bit-identical.
+// Shared plumbing of the capped encoded violation scans of
+// dc/violation.cc: every scan shape splits work and trims capped prefixes
+// with literally the same code, which keeps them bit-identical across
+// thread counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "dc/violation.h"
-#include "relation/value.h"
 
 namespace cvrepair {
 namespace scan_internal {
@@ -21,19 +21,8 @@ namespace scan_internal {
 // scan.
 constexpr int64_t kMinParallelWork = 1 << 13;
 
-struct ValueVecHash {
-  size_t operator()(const std::vector<Value>& vs) const {
-    size_t seed = 0x345678;
-    for (const Value& v : vs) {
-      seed = seed * 1000003 ^ v.Hash();
-    }
-    return seed;
-  }
-};
-
-// Hash for dictionary-code join keys (the encoded scans' counterpart of
-// ValueVecHash). Bucket contents are canonicalized before enumeration, so
-// the two hashes producing different bucket orders cannot affect results.
+// Hash for dictionary-code join keys. Bucket contents are canonicalized
+// before enumeration, so bucket order cannot affect results.
 struct CodeVecHash {
   size_t operator()(const std::vector<int32_t>& vs) const {
     size_t seed = 0x345678;

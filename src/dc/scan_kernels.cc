@@ -18,7 +18,6 @@ namespace scan_kernels {
 namespace {
 
 std::atomic<bool> g_simd_enabled{true};
-std::atomic<bool> g_block_scan_enabled{true};
 
 constexpr int32_t ClassBase(int32_t cls) {
   return cls << Dictionary::kRankBits;
@@ -405,14 +404,6 @@ void SetSimdEnabled(bool enabled) {
 
 bool SimdEnabled() {
   return SimdCompiledIn() && g_simd_enabled.load(std::memory_order_relaxed);
-}
-
-void SetBlockScanEnabled(bool enabled) {
-  g_block_scan_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool BlockScanEnabled() {
-  return g_block_scan_enabled.load(std::memory_order_relaxed);
 }
 
 }  // namespace scan_kernels

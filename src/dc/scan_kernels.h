@@ -34,11 +34,6 @@
 // (EncodedRelation::BlockMeta, or ComputeZone over a gathered candidate
 // list), it returns false only when *no* code in that range can satisfy
 // the predicate — a sound skip, never required for correctness.
-//
-// SetBlockScanEnabled(false) reverts every consumer (dc/violation.cc,
-// dc/incremental.cc) to the row-at-a-time scan; the
-// benches use it to compare work counters and the tests to prove result
-// equality.
 
 #include <cstdint>
 
@@ -107,12 +102,6 @@ bool SimdCompiledIn();
 /// (no-op when SIMD is not compiled in). Defaults to enabled.
 void SetSimdEnabled(bool enabled);
 bool SimdEnabled();
-
-/// Runtime switch for the block-at-a-time consumers: disabled, every scan
-/// takes its legacy row-at-a-time path (same results, no zone skips, no
-/// blocks_scanned/blocks_skipped counters). Defaults to enabled.
-void SetBlockScanEnabled(bool enabled);
-bool BlockScanEnabled();
 
 }  // namespace scan_kernels
 }  // namespace cvrepair

@@ -109,56 +109,32 @@ using scan_internal::kMinParallelWork;
 using scan_internal::LocalCap;
 using scan_internal::MergeShards;
 using scan_internal::ShardResult;
-using scan_internal::ValueVecHash;
 
-// The scans below are templated on an evaluator with
-//   bool IsViolated(const std::vector<int>& rows, EvalCounters* local);
-// counting each predicate evaluation (same short-circuit order as
-// DenialConstraint::IsViolated) so encoded and plain scans of
-// the same workload stay comparable. PlainEval counts boxed-Value evals;
-// EncodedConstraintEval (relation/encoded.h) counts code evals.
-struct PlainEval {
-  const Relation* I;
-  const DenialConstraint* c;
-
-  bool IsViolated(const std::vector<int>& rows, EvalCounters* local) const {
-    for (const Predicate& p : c->predicates()) {
-      ++local->predicate_evals;
-      if (!p.Eval(*I, rows)) return false;
-    }
-    return !c->predicates().empty();
-  }
-};
-
-// Enumerates the violating ordered pairs within one hash-partition block,
-// in the same (i, j) order as the serial scan. Returns false once `cap`
-// violations have been collected (caller stops).
-template <typename Eval>
-bool EnumerateBlockPairs(const Eval& ev, int index,
-                         const std::vector<int>& members, int64_t cap,
-                         std::vector<int>* rows, std::vector<Violation>* out,
-                         EvalCounters* local) {
-  for (int i : members) {
-    for (int j : members) {
-      if (i == j) continue;
-      (*rows)[0] = i;
-      (*rows)[1] = j;
-      if (ev.IsViolated(*rows, local)) {
-        if (static_cast<int64_t>(out->size()) >= cap) return false;
-        out->push_back({index, *rows});
-      }
-    }
-  }
-  return true;
-}
+// =====================================================================
+// Block-vectorized encoded scans (dc/scan_kernels.h), the one detection
+// backend. Three levers over a plain row-at-a-time loop:
+//   * zone-map skips: blocks no constant predicate (or per-row probe)
+//     can match are never entered (blocks_scanned / blocks_skipped);
+//   * a lead kernel: the first predicate the kernels can evaluate with
+//     the scanned tuple varying runs branchless over the whole block,
+//     and only surviving lanes reach the scalar short-circuit tail;
+//   * per-row lifting: 2-tuple predicates binding only the fixed tuple
+//     are evaluated once per outer row instead of once per pair.
+// Results, order and capped semantics match the boxed reference at the
+// end of this file (tests/encoded_test.cc proves it bit-for-bit).
+// Counter discipline: upfront zone consults (skip vectors computed
+// before sharding) flush immediately — they are thread-invariant by
+// construction; in-shard consults and kernel lane counts ride the
+// ShardResult through the AddScan truncation gate like every other
+// scan counter, so totals never depend on --threads.
+// =====================================================================
 
 // Scans the >=2-member blocks of a join partition in canonical order
 // (blocks sorted by first member, members ascending), sharding contiguous
 // block ranges balanced by pair count when the pool and the work size
 // warrant it. `enumerate(members, cap, rows, out, local)` must emit the
 // block's violations in (i, j) member order and return false once `cap`
-// of them have been collected — both the row-at-a-time and the
-// block-kernel enumerators below satisfy that contract.
+// of them have been collected.
 template <typename Enumerate>
 void ScanJoinBlocksWith(std::vector<std::vector<int>>& all_blocks,
                         const Enumerate& enumerate,
@@ -226,145 +202,6 @@ void ScanJoinBlocksWith(std::vector<std::vector<int>>& all_blocks,
   }
   eval_counters::AddScan(local, /*truncated=*/false);
 }
-
-template <typename Eval>
-void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks, const Eval& ev,
-                    int index, std::vector<Violation>* out, int64_t cap,
-                    bool* truncated) {
-  ScanJoinBlocksWith(
-      all_blocks,
-      [&](const std::vector<int>& members, int64_t block_cap,
-          std::vector<int>* rows, std::vector<Violation>* found,
-          EvalCounters* local) {
-        return EnumerateBlockPairs(ev, index, members, block_cap, rows, found,
-                                   local);
-      },
-      out, cap, truncated);
-}
-
-// The full O(n²) ordered-pair scan (constraints with no equality join),
-// split into contiguous ranges of the outer row.
-template <typename Eval>
-void ScanAllPairs(int n, const Eval& ev, int index,
-                  std::vector<Violation>* out, int64_t cap, bool* truncated) {
-  TraceSpan span("scan/all_pairs");
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && static_cast<int64_t>(n) * n >= kMinParallelWork) {
-    int64_t num_shards =
-        std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(2);
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-        for (int j = 0; j < n; ++j) {
-          if (i == j) continue;
-          rows[0] = i;
-          rows[1] = j;
-          if (ev.IsViolated(rows, &result.counters)) {
-            if (static_cast<int64_t>(result.found.size()) >= local_cap) {
-              return;
-            }
-            result.found.push_back({index, rows});
-          }
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(2);
-  EvalCounters local;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      rows[0] = i;
-      rows[1] = j;
-      if (ev.IsViolated(rows, &local)) {
-        if (static_cast<int64_t>(out->size()) >= cap) {
-          if (truncated) *truncated = true;
-          eval_counters::AddScan(local, /*truncated=*/true);
-          return;
-        }
-        out->push_back({index, rows});
-      }
-    }
-  }
-  eval_counters::AddScan(local, /*truncated=*/false);
-}
-
-// Row scan for 1-tuple constraints.
-template <typename Eval>
-void ScanRowsCapped(int n, const Eval& ev, int index,
-                    std::vector<Violation>* out, int64_t cap,
-                    bool* truncated) {
-  TraceSpan span("scan/rows");
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && n >= kMinParallelWork) {
-    int64_t num_shards =
-        std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(1);
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-        rows[0] = i;
-        if (ev.IsViolated(rows, &result.counters)) {
-          if (static_cast<int64_t>(result.found.size()) >= local_cap) {
-            return;
-          }
-          result.found.push_back({index, rows});
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(1);
-  EvalCounters local;
-  for (int i = 0; i < n; ++i) {
-    rows[0] = i;
-    if (ev.IsViolated(rows, &local)) {
-      if (static_cast<int64_t>(out->size()) >= cap) {
-        if (truncated) *truncated = true;
-        eval_counters::AddScan(local, /*truncated=*/true);
-        return;
-      }
-      out->push_back({index, rows});
-    }
-  }
-  eval_counters::AddScan(local, /*truncated=*/false);
-}
-
-// =====================================================================
-// Block-vectorized encoded scans (dc/scan_kernels.h). Identical results,
-// order, and capped semantics to the row-at-a-time templates above —
-// tests/scan_kernel_test.cc proves it bit-for-bit — with three levers:
-//   * zone-map skips: blocks no constant predicate (or per-row probe)
-//     can match are never entered (blocks_scanned / blocks_skipped);
-//   * a lead kernel: the first predicate the kernels can evaluate with
-//     the scanned tuple varying runs branchless over the whole block,
-//     and only surviving lanes reach the scalar short-circuit tail;
-//   * per-row lifting: 2-tuple predicates binding only the fixed tuple
-//     are evaluated once per outer row instead of once per pair.
-// Counter discipline: upfront zone consults (skip vectors computed
-// before sharding) flush immediately — they are thread-invariant by
-// construction; in-shard consults and kernel lane counts ride the
-// ShardResult through the AddScan truncation gate like every other
-// scan counter, so totals never depend on --threads.
-// =====================================================================
 
 // Counted scalar evaluation of one compiled predicate.
 inline bool EvalPredCounted(const EncodedPredicateEval& p,
@@ -519,9 +356,8 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
 // The O(n²) scan, blocked: upfront skip vectors over the outer (t0
 // constants) and inner (t1 constants) blocks, a per-(outer row, inner
 // block) probe consult for same-attribute predicates, and a lead kernel
-// over each surviving inner block. Outer sharding is identical to
-// ScanAllPairs (contiguous ranges of i), so the merge semantics carry
-// over unchanged.
+// over each surviving inner block. Outer rows shard into contiguous
+// ranges of i, so the in-order merge reproduces the serial (i, j) order.
 void ScanAllPairsBlocked(const EncodedRelation& E,
                          const EncodedConstraintEval& ev, int index,
                          std::vector<Violation>* out, int64_t cap,
@@ -897,48 +733,12 @@ class BlockedJoinEnumerator {
   size_t lead_slot_ = 0;
 };
 
-// Hash-partition blocks on the join attributes, keyed by boxed Values.
-// Rows NULL/fresh on a join attribute never satisfy '=' and are excluded.
-std::vector<std::vector<int>> BuildJoinBlocks(const Relation& I,
-                                              const std::vector<AttrId>& join) {
-  TraceSpan span("scan/build_join_blocks");
-  {
-    EvalCounters delta;
-    delta.partition_builds = 1;
-    eval_counters::Add(delta);
-  }
-  int n = I.num_rows();
-  std::unordered_map<std::vector<Value>, std::vector<int>, ValueVecHash>
-      buckets;
-  for (int i = 0; i < n; ++i) {
-    std::vector<Value> key;
-    key.reserve(join.size());
-    bool usable = true;
-    for (AttrId a : join) {
-      const Value& v = I.Get(i, a);
-      if (v.is_null() || v.is_fresh()) {
-        usable = false;
-        break;
-      }
-      key.push_back(v);
-    }
-    if (usable) buckets[std::move(key)].push_back(i);
-  }
-  std::vector<std::vector<int>> blocks;
-  blocks.reserve(buckets.size());
-  for (auto& [key, members] : buckets) {
-    (void)key;
-    blocks.push_back(std::move(members));
-  }
-  return blocks;
-}
-
-// Same partition, built from integer codes. A single join attribute
-// buckets densely by code (codes are 0..dict.size()-1); multi-attribute
-// joins hash the code vector. Codes identify exactly the EvalOp equality
-// classes the Value-keyed build groups by, so the resulting blocks are
-// identical (the canonical sort by first member erases any bucket-order
-// difference).
+// Hash-partition blocks on the join attributes, keyed by integer codes.
+// A single join attribute buckets densely by code (codes are
+// 0..dict.size()-1); multi-attribute joins hash the code vector. Codes
+// are EvalOp equality classes, and rows NULL/fresh on a join attribute
+// (negative codes) never satisfy '=' and are excluded. Bucket order is
+// erased by ScanJoinBlocksWith's canonical sort by first member.
 std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
                                               const std::vector<AttrId>& join) {
   TraceSpan span("scan/build_join_blocks");
@@ -990,30 +790,6 @@ std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
   return blocks;
 }
 
-template <typename Source, typename Eval>
-std::vector<Violation> FindViolationsOfCappedImpl(
-    const Source& src, const Eval& ev, const DenialConstraint& constraint,
-    int constraint_index, int64_t max_violations, bool* truncated) {
-  std::vector<Violation> out;
-  if (truncated) *truncated = false;
-  if (constraint.predicates().empty()) return out;
-  if (constraint.NumTupleVars() == 1) {
-    ScanRowsCapped(src.num_rows(), ev, constraint_index, &out, max_violations,
-                   truncated);
-    return out;
-  }
-  std::vector<AttrId> join = EqualityJoinAttrs(constraint.predicates());
-  if (!join.empty()) {
-    std::vector<std::vector<int>> blocks = BuildJoinBlocks(src, join);
-    ScanJoinBlocks(blocks, ev, constraint_index, &out, max_violations,
-                   truncated);
-    return out;
-  }
-  ScanAllPairs(src.num_rows(), ev, constraint_index, &out, max_violations,
-               truncated);
-  return out;
-}
-
 }  // namespace
 
 std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
@@ -1029,53 +805,6 @@ std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
   return cells;
 }
 
-std::vector<Violation> FindViolationsOf(const Relation& I,
-                                        const DenialConstraint& constraint,
-                                        int constraint_index) {
-  return FindViolationsOfCapped(I, constraint, constraint_index,
-                                std::numeric_limits<int64_t>::max(), nullptr);
-}
-
-std::vector<Violation> FindViolationsOfCapped(
-    const Relation& I, const DenialConstraint& constraint,
-    int constraint_index, int64_t max_violations, bool* truncated) {
-  return FindViolationsOfCappedImpl(I, PlainEval{&I, &constraint}, constraint,
-                                    constraint_index, max_violations,
-                                    truncated);
-}
-
-std::vector<Violation> FindViolations(const Relation& I,
-                                      const ConstraintSet& sigma) {
-  std::vector<Violation> out;
-  for (size_t k = 0; k < sigma.size(); ++k) {
-    std::vector<Violation> part =
-        FindViolationsOf(I, sigma[k], static_cast<int>(k));
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-bool Satisfies(const Relation& I, const ConstraintSet& sigma) {
-  for (size_t k = 0; k < sigma.size(); ++k) {
-    const DenialConstraint& c = sigma[k];
-    if (c.predicates().empty()) continue;
-    if (c.NumTupleVars() == 1) {
-      std::vector<int> rows(1);
-      for (int i = 0; i < I.num_rows(); ++i) {
-        rows[0] = i;
-        if (c.IsViolated(I, rows)) return false;
-      }
-    } else {
-      // Reuse the bucketed enumerator; one violation suffices.
-      bool truncated = false;
-      std::vector<Violation> part =
-          FindViolationsOfCapped(I, c, static_cast<int>(k), 1, &truncated);
-      if (!part.empty()) return false;
-    }
-  }
-  return true;
-}
-
 std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
                                         const DenialConstraint& constraint,
                                         int constraint_index) {
@@ -1088,10 +817,6 @@ std::vector<Violation> FindViolationsOfCapped(
     int constraint_index, int64_t max_violations, bool* truncated) {
   assert(E.in_sync());
   EncodedConstraintEval ev(E, constraint);
-  if (!scan_kernels::BlockScanEnabled()) {
-    return FindViolationsOfCappedImpl(E, ev, constraint, constraint_index,
-                                      max_violations, truncated);
-  }
   std::vector<Violation> out;
   if (truncated) *truncated = false;
   if (constraint.predicates().empty()) return out;
@@ -1146,73 +871,10 @@ bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma) {
 
 namespace {
 
-// The suspect scans for the plain and encoded paths share their entire
-// structure (rows-with-changing filter, equality groups, partner
-// enumeration, dedup); only the predicate evaluation and the group-key
-// representation differ, supplied by an Ops policy:
-//   void SetConstraint(size_t k)           — compile/point at sigma[k]
-//   bool Condition(rows, touches)          — sc(rows; φ) w.r.t. changing
-//   Key KeyOf(row, attrs, usable), KeyHash — group keys on eq attributes
-// Both policies produce identical groups (codes are EvalOp equality
-// classes) and identical conditions, so the outputs match exactly.
-struct PlainSuspectOps {
-  using Key = std::vector<Value>;
-  using KeyHash = ValueVecHash;
-
-  const Relation* I;
-  const ConstraintSet* sigma;
-  const CellSet* changing;
-  const DenialConstraint* c = nullptr;
-
-  void SetConstraint(size_t k) { c = &(*sigma)[k]; }
-
-  // Evaluates the suspect condition sc(rows; φ) w.r.t. `changing` and
-  // reports whether any predicate involves a changing cell.
-  bool Condition(const std::vector<int>& rows, bool* touches_changing) const {
-    *touches_changing = false;
-    for (const Predicate& p : c->predicates()) {
-      bool on_changing = false;
-      for (const Cell& cell : p.Cells(rows)) {
-        if (changing->count(cell)) {
-          on_changing = true;
-          break;
-        }
-      }
-      if (on_changing) {
-        *touches_changing = true;
-        continue;  // predicate on C: excluded from the suspect condition
-      }
-      if (!p.Eval(*I, rows)) return false;
-    }
-    return true;
-  }
-
-  Key KeyOf(int i, const std::vector<AttrId>& attrs, bool* usable) const {
-    Key key;
-    key.reserve(attrs.size());
-    *usable = true;
-    for (AttrId a : attrs) {
-      const Value& v = I->Get(i, a);
-      if (v.is_null() || v.is_fresh()) {
-        *usable = false;
-        return key;
-      }
-      key.push_back(v);
-    }
-    return key;
-  }
-
-  // Block-level partner pruning for the no-equality-join loop; the boxed
-  // path has no zone maps, so no pruning (skip stays empty).
-  void PartnerBlockSkips(int /*r*/, std::vector<char>* skip) const {
-    skip->clear();
-  }
-};
-
-struct EncodedSuspectOps {
-  using Key = std::vector<Code>;
-  using KeyHash = CodeVecHash;
-
+// Per-constraint state of the suspect scan below: the compiled predicates
+// of the current constraint, the suspect condition, equality-group keys
+// and partner-block zone pruning.
+struct SuspectOps {
   const EncodedRelation* E;
   const ConstraintSet* sigma;
   const CellSet* changing;
@@ -1235,6 +897,8 @@ struct EncodedSuspectOps {
     }
   }
 
+  // Evaluates the suspect condition sc(rows; φ) w.r.t. `changing` and
+  // reports whether any predicate involves a changing cell.
   bool Condition(const std::vector<int>& rows, bool* touches_changing) const {
     *touches_changing = false;
     const std::vector<Predicate>& preds = c->predicates();
@@ -1248,15 +912,16 @@ struct EncodedSuspectOps {
       }
       if (on_changing) {
         *touches_changing = true;
-        continue;
+        continue;  // predicate on C: excluded from the suspect condition
       }
       if (!evals[pi].Eval(rows)) return false;
     }
     return true;
   }
 
-  Key KeyOf(int i, const std::vector<AttrId>& attrs, bool* usable) const {
-    Key key;
+  std::vector<Code> KeyOf(int i, const std::vector<AttrId>& attrs,
+                          bool* usable) const {
+    std::vector<Code> key;
     key.reserve(attrs.size());
     *usable = true;
     for (AttrId a : attrs) {
@@ -1277,7 +942,7 @@ struct EncodedSuspectOps {
   // is counted per block.
   void PartnerBlockSkips(int r, std::vector<char>* skip) const {
     skip->clear();
-    if (!scan_kernels::BlockScanEnabled() || attr_changing.empty()) return;
+    if (attr_changing.empty()) return;
     // fwd prunes orientation (r, j) — the partner binds t1; rev prunes
     // (j, r) — the partner binds t0.
     std::vector<ZonePred> fwd, rev;
@@ -1328,10 +993,15 @@ struct EncodedSuspectOps {
   }
 };
 
-template <typename Ops>
-std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
-                                        const ConstraintSet& sigma,
-                                        const CellSet& changing) {
+}  // namespace
+
+std::vector<Violation> FindSuspects(const EncodedRelation& E,
+                                    const ConstraintSet& sigma,
+                                    const CellSet& changing) {
+  assert(E.in_sync());
+  SuspectOps ops{&E, &sigma, &changing};
+  const int n = E.num_rows();
+  const int num_attributes = E.num_attributes();
   std::vector<Violation> out;
   for (size_t k = 0; k < sigma.size(); ++k) {
     const DenialConstraint& c = sigma[k];
@@ -1418,12 +1088,11 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
     }
 
     // Hash groups on the equality attributes.
-    std::unordered_map<typename Ops::Key, std::vector<int>,
-                       typename Ops::KeyHash>
+    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash>
         groups;
     for (int i = 0; i < n; ++i) {
       bool usable = false;
-      typename Ops::Key key = ops.KeyOf(i, eq_attrs, &usable);
+      std::vector<Code> key = ops.KeyOf(i, eq_attrs, &usable);
       if (usable) groups[std::move(key)].push_back(i);
     }
     // Rows whose equality-attribute cells are in C: their join values may
@@ -1457,7 +1126,7 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
         for (int j = 0; j < n; ++j) add_partner(j);
       } else {
         bool usable = false;
-        typename Ops::Key key = ops.KeyOf(r, eq_attrs, &usable);
+        std::vector<Code> key = ops.KeyOf(r, eq_attrs, &usable);
         if (usable) {
           auto it = groups.find(key);
           if (it != groups.end()) {
@@ -1473,23 +1142,160 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
   return out;
 }
 
+// =====================================================================
+// The boxed reference: serial scans of the row-major Relation that share
+// no code with the encoded backend above (dc/violation.h says who uses
+// them). Violations come out in the encoded scans' order, so capped
+// prefixes and truncated flags match too.
+// =====================================================================
+
+namespace {
+
+// Rows bucketed on the join attributes, blocks ordered by first member;
+// with no join attribute, one block of all rows. Numerics key on
+// numeric(), the EvalOp '=' that dictionary codes follow (Int(1) meets
+// Double(1.0)); rows NULL or fresh on a join attribute never satisfy '='.
+std::vector<std::vector<int>> ReferenceBlocks(const Relation& I,
+                                              const std::vector<AttrId>& join) {
+  auto hash = [](const std::vector<Value>& key) {
+    size_t seed = 0x345678;
+    for (const Value& v : key) seed = seed * 1000003 ^ v.Hash();
+    return seed;
+  };
+  std::unordered_map<std::vector<Value>, std::vector<int>, decltype(hash)>
+      buckets;
+  for (int i = 0; i < I.num_rows(); ++i) {
+    std::vector<Value> key;
+    key.reserve(join.size());
+    for (AttrId a : join) {
+      const Value& v = I.Get(i, a);
+      if (v.is_null() || v.is_fresh()) break;
+      key.push_back(v.is_numeric() ? Value::Double(v.numeric()) : v);
+    }
+    if (key.size() == join.size()) buckets[std::move(key)].push_back(i);
+  }
+  std::vector<std::vector<int>> blocks;
+  for (auto& [key, members] : buckets) blocks.push_back(std::move(members));
+  std::sort(blocks.begin(), blocks.end());
+  return blocks;
+}
+
 }  // namespace
+
+std::vector<Violation> FindViolationsOfCapped(
+    const Relation& I, const DenialConstraint& constraint,
+    int constraint_index, int64_t max_violations, bool* truncated) {
+  std::vector<Violation> out;
+  if (truncated) *truncated = false;
+  const std::vector<Predicate>& preds = constraint.predicates();
+  if (preds.empty()) return out;
+  const bool unary = constraint.NumTupleVars() == 1;
+  std::vector<std::vector<int>> blocks =
+      ReferenceBlocks(I, unary ? std::vector<AttrId>{}
+                               : EqualityJoinAttrs(preds));
+  EvalCounters local;
+  std::vector<int> rows(unary ? 1 : 2);
+  // Records `rows` when it violates; false once the cap is exceeded.
+  auto visit = [&] {
+    for (const Predicate& p : preds) {
+      ++local.predicate_evals;
+      if (!p.Eval(I, rows)) return true;
+    }
+    if (static_cast<int64_t>(out.size()) >= max_violations) return false;
+    out.push_back({constraint_index, rows});
+    return true;
+  };
+  auto scan = [&] {
+    for (const std::vector<int>& block : blocks) {
+      for (int i : block) {
+        rows[0] = i;
+        if (unary) {
+          if (!visit()) return false;
+          continue;
+        }
+        for (int j : block) {
+          rows[1] = j;
+          if (i != j && !visit()) return false;
+        }
+      }
+    }
+    return true;
+  };
+  const bool complete = scan();
+  if (truncated && !complete) *truncated = true;
+  eval_counters::AddScan(local, /*truncated=*/!complete);
+  return out;
+}
+
+std::vector<Violation> FindViolationsOf(const Relation& I,
+                                        const DenialConstraint& constraint,
+                                        int constraint_index) {
+  return FindViolationsOfCapped(I, constraint, constraint_index,
+                                std::numeric_limits<int64_t>::max(), nullptr);
+}
+
+std::vector<Violation> FindViolations(const Relation& I,
+                                      const ConstraintSet& sigma) {
+  std::vector<Violation> out;
+  for (size_t k = 0; k < sigma.size(); ++k) {
+    std::vector<Violation> part =
+        FindViolationsOf(I, sigma[k], static_cast<int>(k));
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+bool Satisfies(const Relation& I, const ConstraintSet& sigma) {
+  for (const DenialConstraint& c : sigma) {
+    bool violated = false;  // a cap of 0 truncates on the first violation
+    FindViolationsOfCapped(I, c, 0, /*max_violations=*/0, &violated);
+    if (violated) return false;
+  }
+  return true;
+}
 
 std::vector<Violation> FindSuspects(const Relation& I,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing) {
-  PlainSuspectOps ops{&I, &sigma, &changing};
-  return FindSuspectsImpl(ops, I.num_rows(), I.num_attributes(), sigma,
-                          changing);
-}
-
-std::vector<Violation> FindSuspects(const EncodedRelation& E,
-                                    const ConstraintSet& sigma,
-                                    const CellSet& changing) {
-  assert(E.in_sync());
-  EncodedSuspectOps ops{&E, &sigma, &changing};
-  return FindSuspectsImpl(ops, E.num_rows(), E.num_attributes(), sigma,
-                          changing);
+  const int n = I.num_rows();
+  // A tuple list can only touch C through a row owning a changing cell.
+  std::vector<char> owns(static_cast<size_t>(n), 0);
+  for (const Cell& cell : changing) {
+    if (cell.row >= 0 && cell.row < n) owns[static_cast<size_t>(cell.row)] = 1;
+  }
+  std::vector<Violation> out;
+  for (size_t k = 0; k < sigma.size(); ++k) {
+    const DenialConstraint& c = sigma[k];
+    std::vector<int> rows(c.NumTupleVars() == 1 ? 1 : 2);
+    // Definition 6: every predicate off C holds, and some predicate is on C.
+    auto visit = [&] {
+      bool touches = false;
+      for (const Predicate& p : c.predicates()) {
+        bool on_c = changing.count({rows[p.lhs().tuple], p.lhs().attr}) > 0 ||
+                    (!p.has_constant() &&
+                     changing.count({rows[p.rhs_cell().tuple],
+                                     p.rhs_cell().attr}) > 0);
+        if (!on_c && !p.Eval(I, rows)) return;
+        touches |= on_c;
+      }
+      if (touches) out.push_back({static_cast<int>(k), rows});
+    };
+    for (int i = 0; i < n; ++i) {
+      rows[0] = i;
+      if (rows.size() == 1) {
+        if (owns[static_cast<size_t>(i)]) visit();
+        continue;
+      }
+      for (int j = 0; j < n; ++j) {
+        rows[1] = j;
+        if (j != i && (owns[static_cast<size_t>(i)] ||
+                       owns[static_cast<size_t>(j)])) {
+          visit();
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace cvrepair

@@ -29,8 +29,8 @@ struct Violation {
 /// Process-wide evaluation counters of the violation scans below (and the
 /// incremental rechecks of dc/incremental.cc). They make detection work
 /// *checkable*: tests, benches and the CLI compare the partition-build,
-/// predicate-evaluation and zone-map totals of a run across thread counts
-/// and backends, and the metrics.json CI contract pins them.
+/// predicate-evaluation and zone-map totals of a run across thread counts,
+/// and the metrics.json CI contract pins them.
 struct EvalCounters {
   int64_t partition_builds = 0;   ///< hash partitions built by a full scan
   int64_t predicate_evals = 0;    ///< single-predicate evals on boxed Values
@@ -97,24 +97,29 @@ void AddScan(const EvalCounters& delta, bool truncated);
 std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
                                  const std::vector<int>& rows);
 
-/// Computes viol(I, Σ): every tuple list (single rows for 1-tuple DCs,
+/// Computes viol(I, Σ) on the dictionary-coded column store
+/// (relation/encoded.h): every tuple list (single rows for 1-tuple DCs,
 /// ordered pairs of distinct rows for 2-tuple DCs) satisfying all
-/// predicates of some φ ∈ Σ (Definition 5).
+/// predicates of some φ ∈ Σ (Definition 5). E must be in_sync() with its
+/// backing relation.
 ///
 /// Two-tuple constraints with equality predicates t0.A = t1.A are
-/// evaluated with hash partitioning on those attributes, so FD-style
-/// constraints cost roughly O(|I| + Σ_blocks |block|²) instead of O(|I|²).
+/// partitioned on the codes of those attributes, so FD-style constraints
+/// cost roughly O(|I| + Σ_blocks |block|²) instead of O(|I|²). Predicates
+/// evaluate as integer code/rank compares, block-at-a-time with zone-map
+/// skips (dc/scan_kernels.h), counted as EvalCounters::code_predicate_evals
+/// (only cross-attribute two-cell predicates still touch Values).
 ///
-/// Large scans are sharded across the ThreadPool budget (row ranges for
+/// Large scans are sharded across the ThreadPool budget (row blocks for
 /// 1-tuple DCs and the no-join pair scan, partition-block ranges for
 /// FD-style DCs); shard results are merged in shard order, so the output
 /// — order included — is bit-identical at any thread count.
-std::vector<Violation> FindViolations(const Relation& I,
+std::vector<Violation> FindViolations(const EncodedRelation& E,
                                       const ConstraintSet& sigma);
 
 /// Violations of one constraint (see FindViolations); constraint_index is
 /// set to `constraint_index` in the result.
-std::vector<Violation> FindViolationsOf(const Relation& I,
+std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
                                         const DenialConstraint& constraint,
                                         int constraint_index = 0);
 
@@ -125,11 +130,11 @@ std::vector<Violation> FindViolationsOf(const Relation& I,
 /// hits and the in-order merge trims to the cap, reproducing exactly the
 /// serial prefix and truncated flag.
 std::vector<Violation> FindViolationsOfCapped(
-    const Relation& I, const DenialConstraint& constraint,
+    const EncodedRelation& E, const DenialConstraint& constraint,
     int constraint_index, int64_t max_violations, bool* truncated);
 
 /// True iff I ⊨ Σ (no violations). Short-circuits on the first violation.
-bool Satisfies(const Relation& I, const ConstraintSet& sigma);
+bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma);
 
 /// Computes susp(C, φ) for every φ ∈ Σ (Definition 6): tuple lists that
 /// satisfy all predicates *not* involving cells from C. Only suspects with
@@ -138,28 +143,30 @@ bool Satisfies(const Relation& I, const ConstraintSet& sigma);
 /// cannot become violations when only C changes.
 ///
 /// By Lemma 4, the result is a superset of the violations that involve C.
-std::vector<Violation> FindSuspects(const Relation& I,
+std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing);
 
-/// Encoded counterparts of the scans above, consuming the dictionary-coded
-/// column store (relation/encoded.h) instead of boxed Values: partitions
-/// key on raw codes and predicates evaluate as integer code/rank compares
-/// (counted as EvalCounters::code_predicate_evals; only cross-attribute
-/// two-cell predicates still touch Values). Each is bit-identical —
-/// violation order, capped prefix, truncated flag — to its unencoded
-/// sibling on the backing relation, at any thread count; E must be
-/// in_sync() with it.
-std::vector<Violation> FindViolations(const EncodedRelation& E,
+/// The boxed reference detector: serial scans of the row-major Relation
+/// that share no code with the encoded backend. Tests use it as the
+/// oracle of the scans above, and the paper baselines and perfbench's
+/// violation-freedom check run on it. Violations come out in exactly the
+/// encoded scans' order, capped prefix and truncated flag; every
+/// predicate evaluation counts as EvalCounters::predicate_evals.
+std::vector<Violation> FindViolations(const Relation& I,
                                       const ConstraintSet& sigma);
-std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
+std::vector<Violation> FindViolationsOf(const Relation& I,
                                         const DenialConstraint& constraint,
                                         int constraint_index = 0);
 std::vector<Violation> FindViolationsOfCapped(
-    const EncodedRelation& E, const DenialConstraint& constraint,
+    const Relation& I, const DenialConstraint& constraint,
     int constraint_index, int64_t max_violations, bool* truncated);
-bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma);
-std::vector<Violation> FindSuspects(const EncodedRelation& E,
+bool Satisfies(const Relation& I, const ConstraintSet& sigma);
+/// Reference suspects: the plain Definition 6 loop, per constraint in Σ
+/// order, over rows ascending (1-tuple DCs) or ordered pairs in ascending
+/// (i, j) order (2-tuple DCs). The encoded FindSuspects returns the same
+/// set in a different order.
+std::vector<Violation> FindSuspects(const Relation& I,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing);
 

@@ -5,7 +5,6 @@
 
 #include "dc/constraint.h"
 #include "dc/predicate.h"
-#include "dc/violation.h"
 
 namespace cvrepair {
 
@@ -289,19 +288,6 @@ EncodedConstraintEval::EncodedConstraintEval(const EncodedRelation& E,
 
 bool EncodedConstraintEval::IsViolated(const std::vector<int>& rows) const {
   for (const EncodedPredicateEval& ev : evals_) {
-    if (!ev.Eval(rows)) return false;
-  }
-  return !evals_.empty();
-}
-
-bool EncodedConstraintEval::IsViolated(const std::vector<int>& rows,
-                                       EvalCounters* local) const {
-  for (const EncodedPredicateEval& ev : evals_) {
-    if (ev.on_codes()) {
-      ++local->code_predicate_evals;
-    } else {
-      ++local->predicate_evals;
-    }
     if (!ev.Eval(rows)) return false;
   }
   return !evals_.empty();

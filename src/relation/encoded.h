@@ -55,12 +55,9 @@
 // (fv_i == fv_i storage equality) reads the row-major Relation, which
 // remains the sole mutation interface and the source of truth.
 //
-// Semantics note: codes identify *EvalOp-equality* classes, so Int(1) and
-// Double(1.0) share a code while representational Value equality keeps
-// them distinct. On schema-typed columns (every generator and CSV load)
-// the two notions coincide. Double NaN is unsupported in the encoded path
-// (EvalOp gives NaN != NaN, which no total order can encode); a debug
-// assert rejects it.
+// Codes identify EvalOp-equality classes: Int(1) and Double(1.0) share a
+// code. Double NaN is unsupported in the encoded path (EvalOp gives
+// NaN != NaN, which no total order can encode); a debug assert rejects it.
 
 #include <cassert>
 #include <cstdint>
@@ -76,7 +73,6 @@ namespace cvrepair {
 
 class Predicate;
 class DenialConstraint;
-struct EvalCounters;
 
 /// Integer code of one cell under its attribute's dictionary.
 using Code = int32_t;
@@ -364,8 +360,6 @@ class EncodedConstraintEval {
   }
 
   bool IsViolated(const std::vector<int>& rows) const;
-  /// Counted flavor for the capped scans (mirrors IsViolatedCounted).
-  bool IsViolated(const std::vector<int>& rows, EvalCounters* local) const;
 
  private:
   const DenialConstraint* c_ = nullptr;

@@ -17,14 +17,12 @@ namespace cvrepair {
 namespace {
 
 // The data-repair engine inherits the repair-level thread budget unless it
-// was given its own, and the encoded backend follows the repair-level flag.
-// The candidate loop and the scoped re-solves derive their engine options
+// was given its own. The candidate loop and the scoped re-solves derive their engine options
 // here, so a scoped re-solve is bit-identical to the candidate solve the
 // full pipeline would run on the same violations.
 VfreeOptions EngineOptions(const CVTolerantOptions& options) {
   VfreeOptions vfree = options.vfree;
   if (vfree.threads == 0) vfree.threads = options.threads;
-  vfree.use_encoded = options.use_encoded;
   return vfree;
 }
 
@@ -55,15 +53,13 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
   // One coded mirror of I, shared by the facts scan and every candidate
   // solve. I is never mutated during the run (repairs are built on
   // copies), so the mirror stays in sync for the whole repair.
-  std::optional<EncodedRelation> encoded;
-  if (options.use_encoded) encoded.emplace(I);
-  const EncodedRelation* E = encoded ? &*encoded : nullptr;
+  const EncodedRelation encoded(I);
 
   // Snapshot the process-wide eval counters first so stats report this
   // run's delta.
   EvalCounters counters_before = eval_counters::Snapshot();
   std::map<DenialConstraint, VariantFacts> facts =
-      ScanVariantFacts(I, sigma, variants, options, E);
+      ScanVariantFacts(I, sigma, variants, options, &encoded);
   // The facts map doubles as the δ-bound memo, keyed by the variant's
   // canonical predicate list: every lookup reuses a computed bound.
   int64_t bound_memo_hits = 0;
@@ -74,7 +70,7 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
         ++bound_memo_hits;
         return facts.at(c);
       },
-      options, &fresh_counter, E, &result.stats);
+      options, &fresh_counter, &encoded, &result.stats);
   result.stats.initial_violations = search.sigma_violations;
   result.stats.variants_pruned_bounds = search.variants_pruned;
   result.stats.datarepair_calls = search.datarepair_calls;
@@ -100,7 +96,6 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
   }
   EvalCounters counters_delta = eval_counters::Snapshot() - counters_before;
   result.stats.index_partition_builds = counters_delta.partition_builds;
-  result.stats.index_predicate_evals = counters_delta.predicate_evals;
   result.stats.index_code_evals = counters_delta.code_predicate_evals;
   result.stats.index_truncated_scans = counters_delta.truncated_scans;
   result.stats.index_blocks_scanned = counters_delta.blocks_scanned;
@@ -142,8 +137,7 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
   return SolveDirtyComponents(I, stats_of_I, frozen_variant,
                               std::move(violations), delta_min,
                               EngineOptions(options), cache, stats,
-                              fresh_counter,
-                              options.use_encoded ? encoded : nullptr);
+                              fresh_counter, encoded);
 }
 
 int64_t VariantViolationCap(const CVTolerantOptions& options, int num_rows) {
@@ -170,8 +164,8 @@ VariantFacts MakeVariantFacts(const Relation& I, const DenialConstraint& c,
     facts.delta_l = facts.delta_u = std::numeric_limits<double>::infinity();
     return facts;
   }
-  // Position-free violations in canonical rows order: scan order depends
-  // on the detection backend's partition layout, and the search must see
+  // Position-free violations in canonical rows order: a full scan and a
+  // delta-maintained index emit different orders, and the search must see
   // identical facts no matter which provider produced them.
   facts.violations = std::move(violations);
   for (Violation& v : facts.violations) v.constraint_index = 0;
@@ -195,7 +189,8 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,
     const CVTolerantOptions& options, const EncodedRelation* encoded) {
-  const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
+  std::optional<EncodedRelation> own;
+  if (!encoded) encoded = &own.emplace(I);
 
   // Facts are pure per-constraint functions of I, so all distinct
   // constraints across Σ and every variant are evaluated up front — in
@@ -222,8 +217,7 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
         const DenialConstraint& c = todo[static_cast<size_t>(i)]->first;
         bool hopeless = false;
         std::vector<Violation> violations =
-            E ? FindViolationsOfCapped(*E, c, 0, cap, &hopeless)
-              : FindViolationsOfCapped(I, c, 0, cap, &hopeless);
+            FindViolationsOfCapped(*encoded, c, 0, cap, &hopeless);
         todo[static_cast<size_t>(i)]->second =
             MakeVariantFacts(I, c, std::move(violations), hopeless, options,
                              stats_of_I ? &*stats_of_I : nullptr);
@@ -247,7 +241,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
   const VfreeOptions vfree_options = EngineOptions(options);
   const CostModel& cost = vfree_options.cost;
-  const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
+  std::optional<EncodedRelation> own;
+  if (!encoded) encoded = &own.emplace(I);
   DomainStats stats_of_I(I);
 
   // Bound estimates for every candidate, processed in ascending-δ_l order
@@ -327,7 +322,6 @@ VariantSearchResult CVTolerantSearchWithFacts(
       // multi-round repair of the candidate, without sharing or cost abort.
       HolisticOptions hopts = options.holistic;
       hopts.cost = cost;
-      hopts.use_encoded = options.use_encoded;
       RepairResult hr = HolisticRepair(I, set, hopts);
       if (stats) {
         stats->solver_calls += hr.stats.solver_calls;
@@ -344,7 +338,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
                                   : std::numeric_limits<double>::infinity();
       scoped = SolveDirtyComponents(
           I, stats_of_I, set, std::move(violations), abort_at, vfree_options,
-          options.enable_sharing ? &cache : nullptr, stats, fresh_counter, E);
+          options.enable_sharing ? &cache : nullptr, stats, fresh_counter,
+          encoded);
       if (!scoped) {
         // δ_min abort: the candidate's cost strictly exceeds the threshold
         // it was solving under — worth recording as a lower bound.

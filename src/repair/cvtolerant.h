@@ -48,12 +48,7 @@ struct CVTolerantOptions {
   /// the Vfree engine when `vfree.threads` is 0. Every thread count yields
   /// bit-identical RepairResults; only wall-clock time changes.
   int threads = 0;
-  /// Detect violations and suspects on the dictionary-encoded columnar
-  /// backend (relation/encoded.h): one EncodedRelation of I is built up
-  /// front and shared by the facts scan and the Vfree engine. Predicates
-  /// then evaluate on integer codes (stats.index_code_evals) instead of
-  /// boxed Values (stats.index_predicate_evals). The RepairResult is
-  /// bit-identical either way, at any thread count.
+  /// Read by nothing; kept only because perfbench/driver.cc:374 assigns it.
   bool use_encoded = true;
 };
 
@@ -80,11 +75,12 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
 /// StreamingRepairer after a batch of edits. Only the components reachable
 /// from those violations are repaired; `cache` and `fresh_counter` persist
 /// across calls so component solutions are shared and fresh ids stay
-/// globally unique. Derives the engine options (threads, encoded backend)
-/// from `options` exactly as the candidate loop does, so a scoped re-solve
-/// is bit-identical to the candidate solve the full pipeline would run on
-/// the same violations. Returns std::nullopt only on a delta_min abort
-/// (never with the default +inf bound).
+/// globally unique. Derives the engine options (threads) from `options`
+/// exactly as the candidate loop does, so a scoped re-solve is
+/// bit-identical to the candidate solve the full pipeline would run on
+/// the same violations. `encoded` mirrors I; when null, I is encoded for
+/// the call. Returns std::nullopt only on a delta_min abort (never with
+/// the default +inf bound).
 std::optional<ScopedRepair> CVTolerantResolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
@@ -172,7 +168,8 @@ struct VariantSearchResult {
 /// streaming caller keeps its incumbent). `stats`, when given, accumulates
 /// the engine counters of every candidate solve (solver calls, cache hits,
 /// suspects, decomposition, and the fresh/deleted counts of all candidates
-/// rather than the chosen one).
+/// rather than the chosen one). `encoded` mirrors I; when null, I is
+/// encoded once for the search.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
@@ -183,9 +180,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
 /// by full capped detection scans on I — the from-scratch twin of a
 /// VariantTracker's delta-maintained facts. Distinct constraints are
 /// scanned in parallel under options.threads, each by one
-/// FindViolationsOfCapped: on `encoded` when given (and
-/// options.use_encoded), boxed otherwise. The facts are identical on
-/// either backend, at any thread count.
+/// FindViolationsOfCapped on `encoded` (I is encoded for the call when it
+/// is null). The facts are identical at any thread count.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,

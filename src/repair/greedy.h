@@ -13,10 +13,6 @@ struct GreedyOptions {
   /// (guarantees termination).
   int max_touches_per_cell = 2;
   int max_iterations = 200000;
-  /// Detect violations on the dictionary-encoded columnar backend
-  /// (relation/encoded.h), delta-maintained beside the working copy.
-  /// Same violation sets either way.
-  bool use_encoded = true;
 };
 
 /// Greedy repair for denial constraints (Lopatenko & Bravo, ICDE 2007

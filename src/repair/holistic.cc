@@ -22,19 +22,17 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
   int64_t fresh_counter = 1;
   bool clean = false;
   std::optional<ViolationIndex> index;
-  if (options.incremental) index.emplace(I, sigma, options.use_encoded);
+  if (options.incremental) index.emplace(I, sigma);
   // Full-scan mode keeps a coded mirror of the working copy, delta-updated
   // beside every SetValue (never rebuilt per round).
   std::optional<EncodedRelation> encoded;
-  if (!options.incremental && options.use_encoded) encoded.emplace(current);
+  if (!options.incremental) encoded.emplace(current);
   TraceSpan repair_span("holistic/repair");
   for (int round = 0; round < options.max_rounds; ++round) {
     TraceSpan round_span("holistic/round");
     round_span.AddArg("round", round);
     std::vector<Violation> violations =
-        index     ? index->CurrentViolations()
-        : encoded ? FindViolations(*encoded, sigma)
-                  : FindViolations(current, sigma);
+        index ? index->CurrentViolations() : FindViolations(*encoded, sigma);
     if (round == 0) {
       result.stats.initial_violations = static_cast<int>(violations.size());
     }
@@ -74,8 +72,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
     // remaining violations. fv satisfies no predicate, so this pass cannot
     // create new violations and the instance becomes clean.
     std::vector<Violation> violations =
-        encoded ? FindViolations(*encoded, sigma)
-                : FindViolations(current, sigma);
+        FindViolations(index ? *index->encoded() : *encoded, sigma);
     if (!violations.empty()) {
       ++result.stats.rounds;
       ConflictHypergraph g =

@@ -23,7 +23,6 @@ std::string RepairStats::ToString() const {
        << " pruned_bounds=" << variants_pruned_bounds
        << " datarepair_calls=" << datarepair_calls
        << " partition_builds=" << index_partition_builds
-       << " predicate_evals=" << index_predicate_evals
        << " code_evals=" << index_code_evals
        << " truncated_scans=" << index_truncated_scans
        << " blocks_scanned=" << index_blocks_scanned

@@ -43,7 +43,6 @@ struct RepairStats {
   // process-wide eval counters (dc/violation.h), so they are meaningful
   // when one repair runs at a time.
   int64_t index_partition_builds = 0;  ///< partitions built by a full scan
-  int64_t index_predicate_evals = 0;   ///< predicate evals on boxed Values
   int64_t index_code_evals = 0;        ///< predicate evals on integer codes
   int64_t index_truncated_scans = 0;   ///< capped scans that hit their cap
   int64_t index_blocks_scanned = 0;    ///< zone-map consults that ran a block

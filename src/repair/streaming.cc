@@ -82,8 +82,7 @@ VariantTracker::VariantTracker(const Relation& dirty,
   }
   span.AddArg("family", static_cast<int64_t>(family_.size()));
 
-  index_ = std::make_unique<ViolationIndex>(dirty, family_,
-                                            options_.use_encoded);
+  index_ = std::make_unique<ViolationIndex>(dirty, family_);
   facts_.resize(family_.size());
   seen_epochs_.assign(family_.size(), -1);
   changed_gen_.assign(family_.size(), 0);
@@ -227,8 +226,7 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
     initial_stats_.variants_pruned_bounds = sr.variants_pruned;
     initial_stats_.repair_cost = realized_cost_;
     initial_stats_.changed_cells = ChangedCellCount(I, repaired);
-    index_ = std::make_unique<ViolationIndex>(repaired, variant_,
-                                              options_.repair.use_encoded);
+    index_ = std::make_unique<ViolationIndex>(repaired, variant_);
     return;
   }
   RepairResult initial = CVTolerantRepair(I, sigma, options_.repair);
@@ -237,8 +235,7 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
   // Continue fresh ids above any the initial repair minted, so streamed
   // fixes never alias an existing fv.
   fresh_counter_ = std::max(fresh_counter_, NextFreshId(initial.repaired));
-  index_ = std::make_unique<ViolationIndex>(initial.repaired, variant_,
-                                            options_.repair.use_encoded);
+  index_ = std::make_unique<ViolationIndex>(initial.repaired, variant_);
 }
 
 void StreamingRepairer::EvictForEdits(const std::vector<RowEdit>& edits,
@@ -449,8 +446,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   variant_ = std::move(sr.variant);
   realized_cost_ = sr.cost;
   out->realized_cost = realized_cost_;
-  index_ = std::make_unique<ViolationIndex>(sr.repaired, variant_,
-                                            options_.repair.use_encoded);
+  index_ = std::make_unique<ViolationIndex>(sr.repaired, variant_);
 }
 
 ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,

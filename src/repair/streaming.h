@@ -32,7 +32,7 @@ namespace cvrepair {
 struct StreamingOptions {
   /// Configuration of the initial whole-instance repair (which chooses the
   /// variant) and of every per-batch component re-solve — threads, cost
-  /// model, encoded backend, solver budgets all come from here.
+  /// model, solver budgets all come from here.
   CVTolerantOptions repair;
   /// Reuse materialized component solutions across batches, not just
   /// within one. On by default: the cache keeps epoch stamps
@@ -127,7 +127,7 @@ class VariantTracker {
 
   /// The accumulated dirty instance D.
   const Relation& dirty() const { return index_->relation(); }
-  /// Coded mirror of D (nullptr with the encoded backend off).
+  /// Coded mirror of D.
   const EncodedRelation* encoded() const { return index_->encoded(); }
   const ConstraintSet& sigma() const { return sigma_; }
   const std::vector<SigmaVariant>& variants() const { return variants_; }
@@ -167,7 +167,7 @@ class VariantTracker {
 /// afterwards ApplyBatch re-solves dirty components under the incumbent
 /// and — with reopen_variants — re-runs the variant search whenever a
 /// rival's maintained lower bound reaches the incumbent's realized cost.
-/// All engine knobs (threads, encoded backend, cost model) come from
+/// All engine knobs (threads, cost model) come from
 /// StreamingOptions::repair.
 class StreamingRepairer {
  public:

@@ -146,11 +146,12 @@ std::optional<ScopedRepair> SolveComponents(
   IntervalNarrowCounter();
   FreshFallbackCounter();
   CellSet changing_set(changing.begin(), changing.end());
+  std::optional<EncodedRelation> own;
+  if (!encoded) encoded = &own.emplace(I);
   std::vector<Violation> suspects;
   {
     TraceSpan span("vfree/find_suspects");
-    suspects = encoded ? FindSuspects(*encoded, sigma, changing_set)
-                       : FindSuspects(I, sigma, changing_set);
+    suspects = FindSuspects(*encoded, sigma, changing_set);
     span.AddArg("suspects", static_cast<int64_t>(suspects.size()));
   }
   if (stats) stats->suspects += static_cast<int>(suspects.size());
@@ -469,10 +470,8 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   result.satisfied_constraints = sigma;
   result.stats.rounds = 1;
 
-  std::optional<EncodedRelation> E;
-  if (options.use_encoded) E.emplace(I);
-  std::vector<Violation> violations =
-      E ? FindViolations(*E, sigma) : FindViolations(I, sigma);
+  const EncodedRelation E(I);
+  std::vector<Violation> violations = FindViolations(E, sigma);
   result.stats.initial_violations = static_cast<int>(violations.size());
 
   DomainStats stats_of_I(I);
@@ -501,8 +500,7 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   std::optional<Relation> repaired = DataRepairVfree(
       I, stats_of_I, sigma, changing,
       std::numeric_limits<double>::infinity(), options,
-      /*cache=*/nullptr, &result.stats, &fresh_counter,
-      E ? &*E : nullptr);
+      /*cache=*/nullptr, &result.stats, &fresh_counter, &E);
   // With an infinite bound DataRepairVfree always succeeds.
   result.repaired = std::move(*repaired);
   result.stats.changed_cells = ChangedCellCount(I, result.repaired);

@@ -25,9 +25,7 @@ struct VfreeOptions {
   /// across thread counts (components share no cells; fresh-variable ids
   /// are replayed in serial order).
   int threads = 0;
-  /// Run violation/suspect detection on the dictionary-encoded columnar
-  /// backend (relation/encoded.h) instead of boxed Values. Results are
-  /// bit-identical either way; off = the legacy row-major scans.
+  /// Read by nothing; kept only because perfbench/driver.cc:374 assigns it.
   bool use_encoded = true;
   /// Topology-aware decomposition of giant components (DESIGN.md §12):
   /// components with more than `max_component` cells are split at
@@ -68,8 +66,8 @@ struct VfreeOptions {
 /// `stats` collects solver calls / cache hits / fresh assignments;
 /// `fresh_counter` supplies globally unique fresh-variable ids.
 ///
-/// `encoded`, when given, must mirror `I` (in_sync); suspect detection
-/// then runs on dictionary codes.
+/// `encoded`, when given, must mirror `I` (in_sync); when null, `I` is
+/// encoded for the call.
 std::optional<Relation> DataRepairVfree(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& sigma, const std::vector<Cell>& changing,

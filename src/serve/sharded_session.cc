@@ -173,8 +173,7 @@ ShardedSession::ShardedSession(const Relation& I, const ConstraintSet& sigma,
   span.AddArg("shards", static_cast<int64_t>(options_.num_shards));
   span.AddArg("local_constraints", static_cast<int64_t>(plan_.local.size()));
 
-  global_ = std::make_unique<ViolationIndex>(initial.repaired, straddling_sigma,
-                                             options_.repair.use_encoded);
+  global_ = std::make_unique<ViolationIndex>(initial.repaired, straddling_sigma);
   home_.resize(static_cast<size_t>(initial.repaired.num_rows()));
   for (int r = 0; r < initial.repaired.num_rows(); ++r) {
     home_[static_cast<size_t>(r)] = TargetShard(r);
@@ -223,8 +222,7 @@ void ShardedSession::RebuildShard(int s) {
     shard.rows.push_back(r);
     sub.AddRow(master.row(r));
   }
-  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_,
-                                                 options_.repair.use_encoded);
+  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_);
 }
 
 bool ShardedSession::IsViolationFree() {

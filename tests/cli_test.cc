@@ -160,16 +160,13 @@ TEST_F(CliTest, NumericFlagBoundsAccepted) {
   }
 }
 
-TEST_F(CliTest, BadEncodedValueRejected) {
+TEST_F(CliTest, BadDecomposeValueRejected) {
   std::string out = RunAndCapture(
       cli_ + " --schema " + dir_ + "/schema.txt --data " + dir_ +
-      "/data.csv --constraints " + dir_ + "/rules.txt --encoded yes");
-  EXPECT_NE(out.find("--encoded must be 0 or 1"), std::string::npos) << out;
+      "/data.csv --constraints " + dir_ + "/rules.txt --decompose yes");
+  EXPECT_NE(out.find("--decompose must be 0 or 1"), std::string::npos) << out;
 }
 
-// --encoded only moves work between the predicate-eval and code-eval
-// counters, never the repair: both modes must report the same changed
-// cells, and the stats line must say which backend ran.
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buf;
@@ -272,20 +269,6 @@ TEST_F(CliTest, StreamBatchesRejectsOtherAlgorithmsAndBadSizes) {
       << wrong;
   std::string bad = RunAndCapture(cli_ + " --generate hosp --batch-size 0");
   EXPECT_NE(bad.find("--batch-size must be > 0"), std::string::npos) << bad;
-}
-
-TEST_F(CliTest, EncodedTogglesBackendNotResults) {
-  std::string base = cli_ + " --schema " + dir_ + "/schema.txt --data " +
-                     dir_ + "/data.csv --constraints " + dir_ +
-                     "/rules.txt --theta 0";
-  std::string with = RunAndCapture(base + " --encoded 1");
-  std::string without = RunAndCapture(base + " --encoded 0");
-  EXPECT_NE(with.find("cells changed:    1"), std::string::npos) << with;
-  EXPECT_NE(without.find("cells changed:    1"), std::string::npos) << without;
-  EXPECT_NE(with.find("encoded:          on"), std::string::npos) << with;
-  EXPECT_NE(without.find("encoded:          off"), std::string::npos)
-      << without;
-  EXPECT_NE(with.find("code evals"), std::string::npos) << with;
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <random>
 #include <set>
-#include <tuple>
 
 #include "data/census.h"
 #include "data/hosp.h"
@@ -103,10 +102,8 @@ TEST_P(IncrementalFuzz, RandomEditSequencesMatchFullDetection) {
       DenialConstraint(
           {Predicate::WithConstant(0, 3, Op::kGt, Value::Int(8))}, "cap")};
 
-  // Maintain the coded and the plain index side by side: both must track
-  // the full re-scan exactly, which also pins them to each other.
-  ViolationIndex index(rel, sigma, /*use_encoded=*/true);
-  ViolationIndex plain(rel, sigma, /*use_encoded=*/false);
+  // The delta-maintained index must track the reference full re-scan.
+  ViolationIndex index(rel, sigma);
   std::uniform_int_distribution<int> row(0, 24);
   std::uniform_int_distribution<int> attr(0, 3);
   for (int step = 0; step < 40; ++step) {
@@ -124,14 +121,9 @@ TEST_P(IncrementalFuzz, RandomEditSequencesMatchFullDetection) {
         }
     }
     index.ApplyChange(cell, value);
-    plain.ApplyChange(cell, value);
     ASSERT_EQ(AsSet(index.CurrentViolations()),
               AsSet(FindViolations(index.relation(), sigma)))
         << "divergence at step " << step << " (seed " << GetParam() << ")";
-    ASSERT_EQ(AsSet(plain.CurrentViolations()),
-              AsSet(index.CurrentViolations()))
-        << "encoded/plain divergence at step " << step << " (seed "
-        << GetParam() << ")";
   }
   EXPECT_GT(index.rows_rechecked(), 0);
 }
@@ -140,13 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz, ::testing::Range(1, 8));
 
 // Satellite of the encoded-backend work: randomized repair-like edit
 // sequences on the paper's generators, delta-maintained violations checked
-// against a full re-scan after every change, in both backends.
-class IncrementalGeneratorFuzz
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+// against a reference full re-scan after every change.
+class IncrementalGeneratorFuzz : public ::testing::TestWithParam<bool> {};
 
 TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
-  const bool use_encoded = std::get<0>(GetParam());
-  const bool use_census = std::get<1>(GetParam());
+  const bool use_census = GetParam();
   Relation dirty;
   ConstraintSet sigma;
   if (use_census) {
@@ -172,7 +162,7 @@ TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
     sigma = hosp.given_oversimplified;
   }
 
-  ViolationIndex index(dirty, sigma, use_encoded);
+  ViolationIndex index(dirty, sigma);
   EXPECT_EQ(AsSet(index.CurrentViolations()),
             AsSet(FindViolations(dirty, sigma)));
 
@@ -191,14 +181,12 @@ TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
     index.ApplyChange(cell, value);
     ASSERT_EQ(AsSet(index.CurrentViolations()),
               AsSet(FindViolations(index.relation(), sigma)))
-        << (use_census ? "census" : "hosp") << " encoded=" << use_encoded
-        << " step " << step;
+        << (use_census ? "census" : "hosp") << " step " << step;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Generators, IncrementalGeneratorFuzz,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool()));
+                         ::testing::Bool());
 
 // Zone-map soundness under streaming inserts: batches interleave inserts
 // with updates on a relation that starts just below the 1024-code arena
@@ -236,8 +224,7 @@ TEST_P(IncrementalInsertFuzz, InsertUpdateBatchesCrossBlockBoundary) {
           {Predicate::WithConstant(0, 1, Op::kEq, Value::String("bad"))},
           "cap")};
 
-  ViolationIndex index(rel, sigma, /*use_encoded=*/true);
-  ViolationIndex plain(rel, sigma, /*use_encoded=*/false);
+  ViolationIndex index(rel, sigma);
   ASSERT_FALSE(index.HasViolations());
 
   std::uniform_int_distribution<int> v_dist(0, 1099);  // grows dictionaries
@@ -275,14 +262,9 @@ TEST_P(IncrementalInsertFuzz, InsertUpdateBatchesCrossBlockBoundary) {
       }
     }
     index.ApplyBatch(edits);
-    plain.ApplyBatch(edits);
     ASSERT_EQ(AsSet(index.CurrentViolations()),
               AsSet(FindViolations(index.relation(), sigma)))
-        << "encoded delta/rescan divergence at batch " << batch << " (seed "
-        << GetParam() << ")";
-    ASSERT_EQ(AsSet(plain.CurrentViolations()),
-              AsSet(index.CurrentViolations()))
-        << "encoded/plain divergence at batch " << batch << " (seed "
+        << "delta/rescan divergence at batch " << batch << " (seed "
         << GetParam() << ")";
   }
   // The stream must actually have crossed the 1024-code block boundary.

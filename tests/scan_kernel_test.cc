@@ -5,9 +5,10 @@
 //    sentinel-heavy and partial-tail blocks, and MayMatch == false must
 //    imply an all-zero selection bitmap (zone-map skips are sound);
 //  * scan level — FindViolations / FindViolationsOfCapped / FindSuspects
-//    on every dataset generator must produce identical violations, capped
-//    prefixes, truncated flags, and (thread-invariant) work counters
-//    across block-scan on/off, SIMD on/off, and 1 vs 4 threads;
+//    on every dataset generator must reproduce the boxed reference scans
+//    (violations, capped prefixes, truncated flags; suspects as a set),
+//    with thread-invariant work counters, across SIMD on/off and 1 vs 4
+//    threads;
 //  * maintenance level — all-NULL / all-fresh / tail blocks scan
 //    correctly, zone maps follow ApplyChange (including dictionary-epoch
 //    bumps mid-workload), and ViolationIndex recompiles exactly the
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -109,14 +111,6 @@ class SimdToggle {
  public:
   explicit SimdToggle(bool enabled) { scan_kernels::SetSimdEnabled(enabled); }
   ~SimdToggle() { scan_kernels::SetSimdEnabled(true); }
-};
-
-class BlockScanToggle {
- public:
-  explicit BlockScanToggle(bool enabled) {
-    scan_kernels::SetBlockScanEnabled(enabled);
-  }
-  ~BlockScanToggle() { scan_kernels::SetBlockScanEnabled(true); }
 };
 
 TEST(ScanKernelTest, ScalarAndSimdBitmapsAreBitIdentical) {
@@ -254,26 +248,36 @@ struct ScanOutcome {
   EvalCounters counters;
 };
 
-ScanOutcome RunScans(const Workload& w, const EncodedRelation& E,
-                     bool block_scan, bool simd, int threads) {
-  BlockScanToggle bs(block_scan);
+// Runs every scan on `source` — the EncodedRelation or, for the
+// reference outcome, the boxed Relation. Suspects are sorted: the
+// reference documents its own order.
+template <typename Source>
+ScanOutcome RunScans(const Workload& w, const Source& source, bool simd,
+                     int threads) {
   SimdToggle st(simd);
   ThreadPool::SetNumThreads(threads);
   eval_counters::Reset();
   ScanOutcome out;
-  out.violations = FindViolations(E, w.sigma);
+  out.violations = FindViolations(source, w.sigma);
   for (size_t k = 0; k < w.sigma.size(); ++k) {
     bool truncated = false;
     std::vector<Violation> capped = FindViolationsOfCapped(
-        E, w.sigma[k], static_cast<int>(k), 5, &truncated);
+        source, w.sigma[k], static_cast<int>(k), 5, &truncated);
     out.capped.insert(out.capped.end(), capped.begin(), capped.end());
     out.truncated = out.truncated || truncated;
   }
   CellSet changing;
-  for (int r = 0; r < std::min(4, E.num_rows()); ++r) {
+  for (int r = 0; r < std::min(4, source.num_rows()); ++r) {
     changing.insert(Cell{r, 0});
   }
-  out.suspects = FindSuspects(E, w.sigma, changing);
+  out.suspects = FindSuspects(source, w.sigma, changing);
+  std::sort(out.suspects.begin(), out.suspects.end(),
+            [](const Violation& a, const Violation& b) {
+              if (a.constraint_index != b.constraint_index) {
+                return a.constraint_index < b.constraint_index;
+              }
+              return a.rows < b.rows;
+            });
   out.counters = eval_counters::Snapshot();
   eval_counters::Reset();
   ThreadPool::SetNumThreads(1);
@@ -285,45 +289,30 @@ TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
     SCOPED_TRACE(w.name);
     EncodedRelation E(w.dirty);
 
-    // Reference: the row-at-a-time encoded path, serial.
-    ScanOutcome reference = RunScans(w, E, /*block_scan=*/false,
-                                     /*simd=*/false, /*threads=*/1);
+    // Reference: the boxed reference scans (serial by construction).
+    ScanOutcome reference = RunScans(w, w.dirty, /*simd=*/false,
+                                     /*threads=*/1);
     ASSERT_FALSE(reference.violations.empty() && reference.suspects.empty())
         << "workload exercises nothing";
 
     struct Config {
-      bool block_scan;
       bool simd;
       int threads;
     };
-    const Config configs[] = {
-        {false, false, 4}, {true, false, 1}, {true, false, 4},
-        {true, true, 1},   {true, true, 4},
-    };
-    // Counters must be thread-invariant per backend configuration; index
-    // them by (block_scan, simd).
-    std::vector<std::pair<std::pair<bool, bool>, EvalCounters>> seen;
-    seen.push_back({{false, false}, reference.counters});
+    const Config configs[] = {{false, 1}, {false, 4}, {true, 1}, {true, 4}};
+    // Work counters are identical in every configuration.
+    std::optional<EvalCounters> counters;
     for (const Config& c : configs) {
-      SCOPED_TRACE(std::string("block=") + (c.block_scan ? "on" : "off") +
-                   " simd=" + (c.simd ? "on" : "off") +
+      SCOPED_TRACE(std::string("simd=") + (c.simd ? "on" : "off") +
                    " threads=" + std::to_string(c.threads));
-      ScanOutcome got = RunScans(w, E, c.block_scan, c.simd, c.threads);
+      ScanOutcome got = RunScans(w, E, c.simd, c.threads);
       EXPECT_EQ(got.violations, reference.violations);
       EXPECT_EQ(got.capped, reference.capped);
       EXPECT_EQ(got.truncated, reference.truncated);
       EXPECT_EQ(got.suspects, reference.suspects);
-      bool found = false;
-      for (auto& [key, counters] : seen) {
-        if (key == std::make_pair(c.block_scan, c.simd)) {
-          found = true;
-          EXPECT_TRUE(counters == got.counters)
-              << "work counters vary with --threads";
-        }
-      }
-      if (!found) {
-        seen.push_back({{c.block_scan, c.simd}, got.counters});
-      }
+      if (!counters) counters = got.counters;
+      EXPECT_TRUE(*counters == got.counters)
+          << "work counters vary with SIMD or --threads";
     }
   }
 }
@@ -381,10 +370,6 @@ TEST(ScanKernelMaintenanceTest, DegenerateBlocksMatchBoxedScan) {
   std::vector<Violation> boxed = FindViolations(I, sigma);
   std::vector<Violation> blocked = FindViolations(E, sigma);
   EXPECT_EQ(boxed, blocked);
-  {
-    BlockScanToggle off(false);
-    EXPECT_EQ(FindViolations(E, sigma), boxed);
-  }
 }
 
 TEST(ScanKernelMaintenanceTest, ZoneMapsFollowApplyChange) {

@@ -54,22 +54,19 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-ShardedOptions MakeShardedOptions(const Workload& w, bool encoded,
-                                  int threads, int shards) {
+ShardedOptions MakeShardedOptions(const Workload& w, int threads,
+                                  int shards) {
   ShardedOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   options.num_shards = shards;
   return options;
 }
 
-StreamingOptions MakeStreamingOptions(const Workload& w, bool encoded,
-                                      int threads) {
+StreamingOptions MakeStreamingOptions(const Workload& w, int threads) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   return options;
 }
 
@@ -89,14 +86,13 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
 /// StreamingRepairer and pins batch-by-batch bit-identity: same variant,
 /// same violation count, same cost/cells/components, same cells including
 /// fresh ids.
-void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
-                          int shards) {
+void RunShardedVsStreamed(const Workload& w, int threads, int shards) {
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
   ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, encoded, threads, shards));
+                         MakeShardedOptions(w, threads, shards));
   StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, encoded, threads));
+                             MakeStreamingOptions(w, threads));
   ASSERT_TRUE(sharded.variant() == streamer.variant());
   ASSERT_TRUE(sharded.IsViolationFree());
   ExpectExactlyEqual(sharded.current(), streamer.current());
@@ -120,32 +116,31 @@ void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
   EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
 }
 
-// The acceptance matrix: hosp and census, boxed and encoded, 1 and 4
-// threads, shard counts 2 and 4 — every dimension covered on both
-// datasets.
-TEST(ServeTest, HospBoxed1Thread2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), false, 1, 2);
+// The acceptance matrix: hosp and census, 1 and 4 threads, shard counts
+// 2 and 4 — every combination covered on both datasets.
+TEST(ServeTest, Hosp1Thread2Shards) {
+  RunShardedVsStreamed(MakeHospWorkload(), 1, 2);
 }
-TEST(ServeTest, HospBoxed4Threads4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), false, 4, 4);
+TEST(ServeTest, Hosp4Threads4Shards) {
+  RunShardedVsStreamed(MakeHospWorkload(), 4, 4);
 }
 TEST(ServeTest, HospEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), true, 1, 4);
+  RunShardedVsStreamed(MakeHospWorkload(), 1, 4);
 }
 TEST(ServeTest, HospEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), true, 4, 2);
+  RunShardedVsStreamed(MakeHospWorkload(), 4, 2);
 }
-TEST(ServeTest, CensusBoxed1Thread2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), false, 1, 2);
+TEST(ServeTest, Census1Thread2Shards) {
+  RunShardedVsStreamed(MakeCensusWorkload(), 1, 2);
 }
-TEST(ServeTest, CensusBoxed4Threads4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), false, 4, 4);
+TEST(ServeTest, Census4Threads4Shards) {
+  RunShardedVsStreamed(MakeCensusWorkload(), 4, 4);
 }
 TEST(ServeTest, CensusEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), true, 1, 4);
+  RunShardedVsStreamed(MakeCensusWorkload(), 1, 4);
 }
 TEST(ServeTest, CensusEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), true, 4, 2);
+  RunShardedVsStreamed(MakeCensusWorkload(), 4, 2);
 }
 
 // The plan picks the equality-join key covering the most two-tuple
@@ -190,10 +185,10 @@ TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
   w.sigma = {w.sigma[0]};  // fd_phone_oversimplified alone, eq-join {Name}
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 6, /*seed=*/5);
   ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, true, 1, 3));
+                         MakeShardedOptions(w, 1, 3));
   EXPECT_TRUE(sharded.plan().straddling.empty());
   StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, true, 1));
+                             MakeStreamingOptions(w, 1));
   for (const std::vector<RowEdit>& batch : replay.batches) {
     ServeBatchResult rs = sharded.ApplyBatch(batch);
     StreamBatchResult rt = streamer.ApplyBatch(batch);
@@ -247,7 +242,7 @@ bool FindProbeEdit(ShardedSession& session, AttrId target_attr,
 // component — and the repair still retires it.
 TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
   Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 2));
+  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, 1, 2));
   // MeasureCode → MeasureName/Condition straddle the Name-keyed shards.
   RowEdit probe;
   ASSERT_TRUE(
@@ -263,7 +258,7 @@ TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
 // shard index and is counted shard-local.
 TEST(ServeTest, ShardLocalComponentStaysLocal) {
   Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 4));
+  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, 1, 4));
   RowEdit probe;
   ASSERT_TRUE(FindProbeEdit(session, HospAttrs::kPhone, /*want_cross=*/false,
                             &probe));
@@ -279,9 +274,9 @@ TEST(ServeTest, ShardLocalComponentStaysLocal) {
 // the equality joins (it does on hosp: fd_phone's key becomes Address).
 TEST(ServeTest, ShardKeyEditMigratesRow) {
   Workload w = MakeHospWorkload();
-  ShardedSession sharded(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 4));
+  ShardedSession sharded(w.dirty, w.sigma, MakeShardedOptions(w, 1, 4));
   StreamingRepairer streamer(w.dirty, w.sigma,
-                             MakeStreamingOptions(w, true, 1));
+                             MakeStreamingOptions(w, 1));
   const std::vector<AttrId>& key = sharded.plan().key;
   ASSERT_FALSE(key.empty());
   const Relation& W = sharded.current();
@@ -336,10 +331,10 @@ TEST(ServeTest, ShardKeyEditMigratesRow) {
 // stay bit-identical to the unsharded replay.
 TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
   Workload w = MakeHospWorkload();
-  ShardedOptions sharded_options = MakeShardedOptions(w, true, 1, 4);
+  ShardedOptions sharded_options = MakeShardedOptions(w, 1, 4);
   sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
   ShardedSession sharded(w.dirty, w.sigma, sharded_options);
-  StreamingOptions streaming_options = MakeStreamingOptions(w, true, 1);
+  StreamingOptions streaming_options = MakeStreamingOptions(w, 1);
   streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
   StreamingRepairer streamer(w.dirty, w.sigma, streaming_options);
   ASSERT_TRUE(sharded.variant() == streamer.variant());
@@ -386,34 +381,29 @@ TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
 }
 
 // The full delete-strategy equivalence sweep: sharded ≡ unsharded
-// streamed replay, batch by batch, on both backends and thread counts.
+// streamed replay, batch by batch, at both thread counts.
 TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
-  for (bool encoded : {false, true}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(encoded ? "encoded" : "boxed") + " threads=" +
-                   std::to_string(threads));
-      Workload w = MakeHospWorkload();
-      ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
-                                                 /*batch_size=*/8, /*seed=*/7);
-      ShardedOptions sharded_options =
-          MakeShardedOptions(w, encoded, threads, 3);
-      sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-      ShardedSession sharded(replay.base, w.sigma, sharded_options);
-      StreamingOptions streaming_options =
-          MakeStreamingOptions(w, encoded, threads);
-      streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-      StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
-      for (const std::vector<RowEdit>& batch : replay.batches) {
-        ServeBatchResult rs = sharded.ApplyBatch(batch);
-        StreamBatchResult rt = streamer.ApplyBatch(batch);
-        EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-        EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-        EXPECT_TRUE(sharded.IsViolationFree());
-      }
-      ExpectExactlyEqual(sharded.current(), streamer.current());
-      EXPECT_TRUE(
-          FindViolations(sharded.current(), sharded.variant()).empty());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Workload w = MakeHospWorkload();
+    ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
+                                               /*batch_size=*/8, /*seed=*/7);
+    ShardedOptions sharded_options = MakeShardedOptions(w, threads, 3);
+    sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
+    ShardedSession sharded(replay.base, w.sigma, sharded_options);
+    StreamingOptions streaming_options = MakeStreamingOptions(w, threads);
+    streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
+    StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
+    for (const std::vector<RowEdit>& batch : replay.batches) {
+      ServeBatchResult rs = sharded.ApplyBatch(batch);
+      StreamBatchResult rt = streamer.ApplyBatch(batch);
+      EXPECT_EQ(rs.repair_cost, rt.repair_cost);
+      EXPECT_EQ(rs.cells_changed, rt.cells_changed);
+      EXPECT_TRUE(sharded.IsViolationFree());
     }
+    ExpectExactlyEqual(sharded.current(), streamer.current());
+    EXPECT_TRUE(
+        FindViolations(sharded.current(), sharded.variant()).empty());
   }
 }
 
@@ -609,7 +599,6 @@ TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
 
   ServeOptions options;
   options.session.repair.variants.space = w.space;
-  options.session.repair.use_encoded = (rng() % 2 == 0);
   options.session.num_shards = shards;
   options.admission.queue_watermark = watermark;
   RepairServer server;

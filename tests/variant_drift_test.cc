@@ -5,11 +5,12 @@
 // must always be the one the from-scratch full variant search would
 // choose, and on reopen batches the held instance must equal the scratch
 // search's repair — cost bit-identical, cells equal modulo fresh ids — at
-// 1 and 4 threads, boxed and encoded.
+// 1 and 4 threads. The tracker's violation sets are also checked against
+// the boxed reference scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,12 +64,11 @@ void ExpectEqualModuloFresh(const Relation& a, const Relation& b) {
 /// Streams a drift workload with reopen_variants and checks, after every
 /// batch, the tracker state against its from-scratch twin on the
 /// accumulated dirty instance D.
-void RunDriftStreamVsScratch(bool encoded, int threads) {
+void RunDriftStreamVsScratch(int threads) {
   Workload w = MakeDriftableWorkload();
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   options.reopen_variants = true;
   ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
                                             /*batch_size=*/10, /*seed=*/29);
@@ -85,19 +85,27 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
     switched += r.variant_switched ? 1 : 0;
 
     const VariantTracker& t = *streamer.tracker();
-    std::optional<EncodedRelation> E;
-    if (encoded) E.emplace(t.dirty());
+    const EncodedRelation E(t.dirty());
 
     // Delta-maintained facts == full detection scans on D, constraint by
-    // constraint: violation sets, δ_l/δ_u, hopeless verdicts.
+    // constraint: violation sets, δ_l/δ_u, hopeless verdicts — and the
+    // violation sets == the reference scan's.
     std::map<DenialConstraint, VariantFacts> scratch_facts = ScanVariantFacts(
-        t.dirty(), w.sigma, t.variants(), options.repair, E ? &*E : nullptr);
+        t.dirty(), w.sigma, t.variants(), options.repair, &E);
     for (const auto& [phi, sf] : scratch_facts) {
       const VariantFacts& tf = t.FactsOf(phi);
       EXPECT_EQ(tf.violations, sf.violations);
       EXPECT_EQ(tf.delta_l, sf.delta_l);
       EXPECT_EQ(tf.delta_u, sf.delta_u);
       EXPECT_EQ(tf.hopeless, sf.hopeless);
+      if (!tf.hopeless) {
+        std::vector<Violation> reference = FindViolationsOf(t.dirty(), phi);
+        std::sort(reference.begin(), reference.end(),
+                  [](const Violation& a, const Violation& b) {
+                    return a.rows < b.rows;
+                  });
+        EXPECT_EQ(tf.violations, reference);
+      }
     }
 
     // The full from-scratch variant search over those facts must land on
@@ -109,7 +117,7 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
         [&scratch_facts](const DenialConstraint& c) -> const VariantFacts& {
           return scratch_facts.at(c);
         },
-        options.repair, &scratch_fresh, E ? &*E : nullptr);
+        options.repair, &scratch_fresh, &E);
     ASSERT_TRUE(sr.have_result);
     EXPECT_TRUE(sr.variant == streamer.variant())
         << "held variant diverged from the scratch-optimal choice";
@@ -136,20 +144,12 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
   EXPECT_GT(streamer.totals().bound_updates, 0);
 }
 
-TEST(VariantDriftTest, BoxedSerial) {
-  RunDriftStreamVsScratch(/*encoded=*/false, /*threads=*/1);
-}
-
-TEST(VariantDriftTest, BoxedThreaded) {
-  RunDriftStreamVsScratch(/*encoded=*/false, /*threads=*/4);
-}
-
 TEST(VariantDriftTest, EncodedSerial) {
-  RunDriftStreamVsScratch(/*encoded=*/true, /*threads=*/1);
+  RunDriftStreamVsScratch(/*threads=*/1);
 }
 
 TEST(VariantDriftTest, EncodedThreaded) {
-  RunDriftStreamVsScratch(/*encoded=*/true, /*threads=*/4);
+  RunDriftStreamVsScratch(/*threads=*/4);
 }
 
 // The skip regime of the reopen trigger: a batch whose edits change no
@@ -170,7 +170,6 @@ TEST(VariantDriftTest, QuietBatchSkipsReopen) {
   Workload w{InjectNoise(census.clean, noise).dirty, census.given, {}};
   StreamingOptions options;
   options.repair.variants.space = w.space;
-  options.repair.use_encoded = true;
   options.reopen_variants = true;
   StreamingRepairer streamer(w.dirty, w.sigma, options);
   const ConstraintSet held = streamer.variant();
@@ -205,7 +204,6 @@ TEST(VariantDriftTest, ThreadCountIsInvisibleUnderReopens) {
   Workload w = MakeDriftableWorkload();
   StreamingOptions serial_options;
   serial_options.repair.variants.space = w.space;
-  serial_options.repair.use_encoded = true;
   serial_options.reopen_variants = true;
   serial_options.repair.threads = 1;
   StreamingOptions threaded_options = serial_options;

@@ -10,6 +10,7 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "util/thread_pool.h"
 
 namespace cvrepair {
@@ -147,8 +148,10 @@ TEST(SuspectTest, NoSuspectsWhenChangingSetOffConstraintAttrs) {
 // scan finished exactly at the cap — nothing was cut), cap = V - 1 returns
 // the first V - 1 violations of the uncapped order with truncated true,
 // and cap = V + 1 is indistinguishable from uncapped. The capped result is
-// always a prefix of the uncapped one.
-void CheckExactCapSemantics(const Relation& I, const DenialConstraint& c,
+// always a prefix of the uncapped one. `I` is the boxed Relation (the
+// reference scan) or its EncodedRelation.
+template <typename Source>
+void CheckExactCapSemantics(const Source& I, const DenialConstraint& c,
                             const std::string& context) {
   bool truncated = true;
   std::vector<Violation> all = FindViolationsOfCapped(
@@ -177,15 +180,17 @@ class PoolGuard {
 };
 
 // Small instances: the serial 1-tuple row scan, the hash-partition block
-// scan, and the no-join pair scan.
+// scan, and the no-join pair scan, on the reference and encoded scans.
 TEST(ViolationCapTest, ExactCapOnSerialPaths) {
   Relation rel = PaperIncomeRelation();
   AttrId income = *rel.schema().Find("Income");
   DenialConstraint rich(
       {Predicate::WithConstant(0, income, Op::kGeq, Value::Double(100))});
-  CheckExactCapSemantics(rel, rich, "serial 1-tuple");
-  CheckExactCapSemantics(rel, Phi1(rel), "serial partition-block");
-  CheckExactCapSemantics(rel, Phi4Prime(rel), "serial no-join pairs");
+  EncodedRelation encoded(rel);
+  for (const DenialConstraint& c : {rich, Phi1(rel), Phi4Prime(rel)}) {
+    CheckExactCapSemantics(rel, c, "reference " + c.ToString(rel.schema()));
+    CheckExactCapSemantics(encoded, c, "encoded " + c.ToString(rel.schema()));
+  }
 }
 
 // Large instances at 4 threads: the row-range shards and the
@@ -203,8 +208,9 @@ TEST(ViolationCapTest, ExactCapOnShardedPaths) {
   DenialConstraint high_income({Predicate::WithConstant(
       0, CensusAttrs::kIncome, Op::kGeq,
       Value::Double(census_config.tax_threshold))});
-  ASSERT_GE(FindViolationsOf(census.clean, high_income).size(), 2u);
-  CheckExactCapSemantics(census.clean, high_income, "sharded 1-tuple rows");
+  EncodedRelation census_encoded(census.clean);
+  ASSERT_GE(FindViolationsOf(census_encoded, high_income).size(), 2u);
+  CheckExactCapSemantics(census_encoded, high_income, "sharded 1-tuple rows");
 
   HospConfig hosp_config;
   hosp_config.num_hospitals = 12;
@@ -215,12 +221,13 @@ TEST(ViolationCapTest, ExactCapOnShardedPaths) {
   hosp_noise.target_attrs = hosp.noise_attrs;
   hosp_noise.seed = 13;
   Relation hosp_dirty = InjectNoise(hosp.clean, hosp_noise).dirty;
+  EncodedRelation hosp_encoded(hosp_dirty);
   bool found_fd = false;
   for (const DenialConstraint& c : hosp.given_oversimplified) {
     if (c.NumTupleVars() != 2) continue;
-    if (FindViolationsOf(hosp_dirty, c).size() < 2) continue;
+    if (FindViolationsOf(hosp_encoded, c).size() < 2) continue;
     found_fd = true;
-    CheckExactCapSemantics(hosp_dirty, c, "sharded partition blocks");
+    CheckExactCapSemantics(hosp_encoded, c, "sharded partition blocks");
   }
   EXPECT_TRUE(found_fd);
 }

@@ -37,17 +37,21 @@ so it survives workload-size changes. The canonical use: a subset-repair
 run may tombstone at most one row per initial violation
 (``repair.rows_deleted`` <= 1.0 x ``repair.initial_violations``).
 
-``--update`` refreshes the baseline's counters from an ACTUAL run but
-refuses to orphan the policy: when a counter pinned by ``require_zero``
-or ``require_nonzero`` is missing from ACTUAL (the workload no longer
-emits it), the refresh aborts so the gate cannot silently lose a pin.
-``--force`` overrides, dropping the vanished pins with a notice.
+``--update`` refreshes the values of the counters the baseline already
+lists from an ACTUAL run; counters only ACTUAL emits are printed but not
+added, so a refresh never starts gating counters nobody chose to gate
+(a baseline file that does not exist yet takes the whole run). It
+refuses to orphan the policy: when a listed counter, or one pinned by
+``require_zero``, ``require_nonzero`` or ``max_ratio``, is missing from
+ACTUAL (the workload no longer emits it), the refresh aborts so the gate
+cannot silently lose a check. ``--force`` overrides, dropping the
+vanished counters and pins with a notice.
 
 Usage::
 
     check_metrics.py BASELINE ACTUAL          # compare, exit 1 on drift
-    check_metrics.py --update BASELINE ACTUAL # rewrite baseline counters
-    check_metrics.py --update --force ...     # also drop vanished pins
+    check_metrics.py --update BASELINE ACTUAL # refresh listed counters
+    check_metrics.py --update --force ...     # also drop vanished ones
     check_metrics.py --self-test              # prove the gate can fail
 """
 
@@ -122,11 +126,25 @@ def compare(baseline, actual):
 
 def update_baseline(baseline, actual, force):
     """Refreshed baseline dict, or (None, errors) when the update must be
-    refused: a require_zero/require_nonzero pin references a counter the
-    ACTUAL run no longer emits, and --force was not given. With --force the
-    vanished pins are dropped (returned in the notices list)."""
+    refused: a listed counter or a require_zero/require_nonzero/max_ratio
+    pin references a counter the ACTUAL run no longer emits, and --force
+    was not given. With --force the vanished counters and pins are dropped
+    (returned in the notices list). Only the counters the baseline already
+    lists are refreshed; ACTUAL-only counters are reported as notices."""
     errors = []
     notices = []
+    listed = baseline.get("counters")
+    if listed is not None:
+        for name in sorted(listed):
+            if name in actual:
+                continue
+            if force:
+                notices.append(f"dropping counter {name} "
+                               f"(missing from ACTUAL, --force)")
+            else:
+                errors.append(
+                    f"{name}: listed in counters but missing from ACTUAL — "
+                    f"refusing to drop it (pass --force to drop it)")
     for policy in ("require_zero", "require_nonzero"):
         pinned = baseline.get(policy, [])
         vanished = [name for name in pinned if name not in actual]
@@ -158,7 +176,14 @@ def update_baseline(baseline, actual, force):
             del ratio_pins[name]
     if errors:
         return None, errors
-    baseline["counters"] = {k: int(v) for k, v in sorted(actual.items())}
+    if listed is None:  # a new baseline starts from the whole run
+        baseline["counters"] = {k: int(v) for k, v in sorted(actual.items())}
+        return baseline, notices
+    for name in sorted(set(actual) - set(listed)):
+        notices.append(f"not adding {name} = {actual[name]} (only in ACTUAL; "
+                       f"list it in the baseline to gate it)")
+    baseline["counters"] = {k: int(actual[k]) for k in sorted(listed)
+                            if k in actual}
     return baseline, notices
 
 
@@ -253,8 +278,8 @@ def self_test():
             print(f"self-test FAILED: {what} (messages={messages})")
             return 1
         if updated is not None:
-            if updated["counters"] != {k: int(v)
-                                       for k, v in sorted(act.items())}:
+            want = {k: int(act[k]) for k in pinned["counters"] if k in act}
+            if updated["counters"] != want:
                 print(f"self-test FAILED: {what} (counters not refreshed)")
                 return 1
             if dropped_from and updated[dropped_from]:
@@ -264,7 +289,34 @@ def self_test():
             if dropped_from and not updated["require_nonzero"]:
                 print(f"self-test FAILED: {what} (surviving pin dropped)")
                 return 1
-    print(f"self-test OK ({len(cases) + len(update_cases)} cases)")
+
+    # --update refreshes only the listed counters: a counter only ACTUAL
+    # has is reported, never added; a listed counter missing from ACTUAL
+    # is refused unless --force drops it.
+    listed = {"counters": {"eval.partition_builds": 7}, "tolerance": 0.0}
+    extra = {"eval.partition_builds": 9, "repair.rows_deleted": 3}
+    updated, messages = update_baseline(copy.deepcopy(listed), extra, False)
+    if updated is None or updated["counters"] != {"eval.partition_builds": 9}:
+        print(f"self-test FAILED: update must not add ACTUAL-only counters "
+              f"(got {updated and updated['counters']})")
+        return 1
+    if not any("repair.rows_deleted" in m for m in messages):
+        print("self-test FAILED: update must report ACTUAL-only counters")
+        return 1
+    gone = {"repair.rows_deleted": 3}
+    if update_baseline(copy.deepcopy(listed), gone, False)[0] is not None:
+        print("self-test FAILED: update missing a listed counter must be "
+              "refused")
+        return 1
+    updated, _ = update_baseline(copy.deepcopy(listed), gone, True)
+    if updated is None or updated["counters"]:
+        print("self-test FAILED: forced update must drop a vanished counter")
+        return 1
+    fresh, _ = update_baseline({"tolerance": 0.0}, extra, False)
+    if fresh["counters"] != extra:
+        print("self-test FAILED: a new baseline must take the whole run")
+        return 1
+    print(f"self-test OK ({len(cases) + len(update_cases) + 4} cases)")
     return 0
 
 
@@ -274,14 +326,14 @@ def main():
     parser.add_argument("baseline", nargs="?", help="baseline json")
     parser.add_argument("actual", nargs="?", help="metrics.json from a run")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline's counters from ACTUAL, "
-                             "keeping tolerance/require_zero/require_nonzero "
-                             "policy; refuses if a pinned counter is missing "
-                             "from ACTUAL")
+                        help="refresh the baseline's listed counters from "
+                             "ACTUAL, keeping tolerance/require_zero/"
+                             "require_nonzero policy; ACTUAL-only counters "
+                             "are printed, not added; refuses if a listed "
+                             "or pinned counter is missing from ACTUAL")
     parser.add_argument("--force", action="store_true",
-                        help="with --update: drop require_zero/"
-                             "require_nonzero pins whose counters are "
-                             "missing from ACTUAL instead of refusing")
+                        help="with --update: drop listed counters and "
+                             "pins missing from ACTUAL instead of refusing")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the comparator fails on drift")
     args = parser.parse_args()

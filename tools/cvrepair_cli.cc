@@ -90,7 +90,6 @@ struct CliOptions {
   bool cross_batch_cache = true;
   bool drift = false;  ///< drifting replay (sliding value-source window)
   int threads = 1;
-  bool encoded = true;
   bool decompose = false;
   int max_component = 24;
   bool discover = false;
@@ -127,10 +126,6 @@ int Usage(const char* argv0) {
       << kMaxThreads
       << "; default 1 — results are identical\n"
          "                     either way)\n"
-      << "  --encoded 0|1      evaluate predicates on dictionary-encoded\n"
-         "                     integer columns (default 1; results are\n"
-         "                     identical either way — 0 falls back to\n"
-         "                     boxed-Value scans, for timing comparisons)\n"
       << "  --decompose 0|1    split conflict components larger than\n"
          "                     --max-component cells at low-density\n"
          "                     articulation vertices, solve the parts\n"
@@ -342,12 +337,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (!ParseIntFlag(arg, value, 0, kMaxThreads, &options->threads)) {
         return false;
       }
-    } else if (arg == "--encoded" && next(&value)) {
-      if (value != "0" && value != "1") {
-        std::cerr << "--encoded must be 0 or 1\n";
-        return false;
-      }
-      options->encoded = (value == "1");
     } else if (arg == "--decompose" && next(&value)) {
       if (value != "0" && value != "1") {
         std::cerr << "--decompose must be 0 or 1\n";
@@ -498,7 +487,6 @@ int RunStream(const CliOptions& options, const Relation& data,
   repair_options.variants.cost_model.lambda = options.lambda;
   if (space) repair_options.variants.space = *space;
   repair_options.threads = options.threads;
-  repair_options.use_encoded = options.encoded;
   repair_options.vfree.decompose = options.decompose;
   repair_options.vfree.max_component = options.max_component;
   if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
@@ -606,7 +594,6 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   repair_options.variants.cost_model.lambda = options.lambda;
   if (space) repair_options.variants.space = *space;
   repair_options.threads = options.threads;
-  repair_options.use_encoded = options.encoded;
   repair_options.vfree.decompose = options.decompose;
   repair_options.vfree.max_component = options.max_component;
   if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
@@ -761,7 +748,6 @@ int RunRepair(const CliOptions& options, const Relation& data,
     repair_options.variants.cost_model.lambda = options.lambda;
     if (space) repair_options.variants.space = *space;
     repair_options.threads = options.threads;
-    repair_options.use_encoded = options.encoded;
     repair_options.vfree.decompose = options.decompose;
     repair_options.vfree.max_component = options.max_component;
     if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
@@ -771,7 +757,6 @@ int RunRepair(const CliOptions& options, const Relation& data,
   } else if (options.algorithm == "vfree") {
     VfreeOptions vfree_options;
     vfree_options.threads = options.threads;
-    vfree_options.use_encoded = options.encoded;
     vfree_options.decompose = options.decompose;
     vfree_options.max_component = options.max_component;
     if (!ApplyStrategyOptions(options, data.schema(), &vfree_options)) {
@@ -779,13 +764,9 @@ int RunRepair(const CliOptions& options, const Relation& data,
     }
     result = VfreeRepair(data, sigma, vfree_options);
   } else if (options.algorithm == "holistic") {
-    HolisticOptions holistic_options;
-    holistic_options.use_encoded = options.encoded;
-    result = HolisticRepair(data, sigma, holistic_options);
+    result = HolisticRepair(data, sigma);
   } else if (options.algorithm == "greedy") {
-    GreedyOptions greedy_options;
-    greedy_options.use_encoded = options.encoded;
-    result = GreedyRepair(data, sigma, greedy_options);
+    result = GreedyRepair(data, sigma);
   } else if (options.algorithm == "vrepair") {
     result = VrepairRepair(data, sigma);
   } else if (options.algorithm == "unified") {
@@ -836,8 +817,7 @@ int RunRepair(const CliOptions& options, const Relation& data,
             << "cells changed:    " << result.stats.changed_cells << "\n"
             << "fresh variables:  " << result.stats.fresh_assignments << "\n"
             << "repair cost:      " << result.stats.repair_cost << "\n"
-            << "time:             " << result.stats.elapsed_seconds << "s\n"
-            << "encoded:          " << (options.encoded ? "on" : "off") << "\n";
+            << "time:             " << result.stats.elapsed_seconds << "s\n";
   if (options.decompose) {
     std::cout << "decompose:        " << result.stats.components_split
               << " components split, " << result.stats.stitch_merges
@@ -850,8 +830,7 @@ int RunRepair(const CliOptions& options, const Relation& data,
               << ", DataRepair calls " << result.stats.datarepair_calls
               << ", shared solutions " << result.stats.cache_hits << ")\n";
     std::cout << "scan:             " << result.stats.index_partition_builds
-              << " partition builds, " << result.stats.index_predicate_evals
-              << " predicate evals, " << result.stats.index_code_evals
+              << " partition builds, " << result.stats.index_code_evals
               << " code evals, " << result.stats.bound_memo_hits
               << " bound memo hits, " << result.stats.index_truncated_scans
               << " truncated scans\n";
