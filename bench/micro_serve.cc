@@ -1,19 +1,18 @@
 // Microbench for the repair-as-a-service subsystem (serve/server.h):
-// hosts a HOSP replay behind a RepairServer session whose ShardedSession
-// hash-partitions detection across 4 shards, then drives the same stream
-// through a backpressured (watermark 2) session with the closed-loop
-// submit/pump retry discipline the load generator uses. Appends latency
-// percentiles and throughput to BENCH_serve.json.
+// hosts a HOSP replay behind a RepairServer session, then drives the same
+// stream through a backpressured (watermark 2) session with the
+// closed-loop submit/pump retry discipline the load generator uses.
+// Appends latency percentiles and throughput to BENCH_serve.json.
 //
-// The acceptance claims live in the serve.* counters: sharding must keep
-// most conflict components shard-local (serve.shard_local_components > 0,
-// with the cross-shard merges counted separately), and admission control
-// must reject deterministically at the watermark
-// (serve.batches_rejected). The checked-in baseline pins both for the
-// serve_smoke CI gate. A FATAL guard re-runs the stream through a
-// single-session StreamingRepairer and requires the sharded final
-// instance to match cell for cell — the correctness contract sharding
-// must not bend.
+// The acceptance claims live in the work counters: the served engine must
+// re-solve conflict components (stream.components_resolved), its solver
+// cache must answer lookups (cache.lookup_hits), and admission control
+// must reject deterministically at the watermark (serve.batches_rejected).
+// The checked-in baseline pins all three for the serve_smoke CI gate. FATAL
+// guards require the backpressured session to end on the unpressured
+// one's instance, and both to match a StreamingRepairer fed the stream
+// directly, cell for cell — admission may delay batches, never change
+// what they do.
 #include "bench_util.h"
 
 #include "repair/streaming.h"
@@ -26,7 +25,6 @@ namespace {
 
 constexpr int kBatches = 8;
 constexpr int kBatchSize = 16;
-constexpr int kShards = 4;
 
 /// Cell-for-cell equality, fresh ids included — the bench-side mirror of
 /// the serve tests' bit-identity expectation.
@@ -87,32 +85,30 @@ int main() {
   ServeOptions serve_options;
   serve_options.session.repair = HospCvOptions(hosp, 1.0);
   serve_options.session.repair.max_datarepair_calls = 8;
-  serve_options.session.num_shards = kShards;
 
   // Deterministic work-counter snapshot for the serve_smoke CI gate
   // (tools/check_metrics.py vs bench/baselines/micro_serve.json). Two
-  // scenarios, one registry snapshot: (A) a 4-shard replay behind a
-  // generous watermark — every batch admitted, sharding does the work, the
-  // baseline pins the shard-local/cross-shard component split; (B) the
+  // scenarios, one registry snapshot: (A) the replay behind a generous
+  // watermark — every batch admitted on its first submission; (B) the
   // same stream against a watermark-2 queue with the closed-loop retry
   // discipline — with 8 batches and a synchronous drain, batches 2..7 are
   // each rejected exactly once, so serve.batches_rejected pins admission
   // control as actually engaged.
-  Relation sharded_final;
+  Relation served_final;
   MetricsSnapshot snapshot =
       WriteWorkMetrics("micro_serve.metrics.json", [&] {
         ServeOptions options = serve_options;
         options.session.repair.threads = 1;
         options.admission.queue_watermark = kBatches;  // scenario A
         RepairServer server;
-        sharded_final = DriveClosedLoop(&server, "hosp_sharded", replay.base,
-                                        sigma, options, replay.batches);
+        served_final = DriveClosedLoop(&server, "hosp_served", replay.base,
+                                       sigma, options, replay.batches);
         ServeOptions pressured = options;  // scenario B
         pressured.admission.queue_watermark = 2;
         Relation pressured_final =
             DriveClosedLoop(&server, "hosp_backpressure", replay.base, sigma,
                             pressured, replay.batches);
-        if (!SameRelation(sharded_final, pressured_final)) {
+        if (!SameRelation(served_final, pressured_final)) {
           std::cerr << "FATAL: backpressure changed the repaired instance "
                        "(admission must only delay batches, not reorder "
                        "or drop them)\n";
@@ -120,51 +116,40 @@ int main() {
         }
       });
 
-  const int64_t shard_local = snapshot.at("serve.shard_local_components");
-  const int64_t cross_shard = snapshot.at("serve.cross_shard_components");
+  const int64_t components = snapshot.at("stream.components_resolved");
   const int64_t rejected = snapshot.at("serve.batches_rejected");
-  std::cout << "serve components: " << shard_local << " shard-local vs "
-            << cross_shard << " cross-shard merges; " << rejected
-            << " backpressure rejections\n";
+  std::cout << "serve components: " << components << " re-solved; "
+            << rejected << " backpressure rejections\n";
   json.RecordCounters(
       "serve/detection",
-      {{"shards", kShards},
-       {"batches_admitted", snapshot.at("serve.batches_admitted")},
+      {{"batches_admitted", snapshot.at("serve.batches_admitted")},
        {"batches_rejected", rejected},
-       {"batches_applied", snapshot.at("serve.batches_applied")},
-       {"shard_local_components", shard_local},
-       {"cross_shard_components", cross_shard},
-       {"rows_migrated", snapshot.at("serve.rows_migrated")},
-       {"cells_changed", snapshot.at("serve.cells_changed")}});
-  if (shard_local <= 0) {
-    std::cerr << "FATAL: sharding localized no conflict components — the "
-                 "shard plan silently disengaged\n";
-    return 1;
-  }
+       {"batches_applied", snapshot.at("stream.batches")},
+       {"components", components},
+       {"cells_changed", snapshot.at("stream.cells_changed")}});
   if (rejected <= 0) {
     std::cerr << "FATAL: the watermark-2 scenario rejected nothing — "
                  "admission control silently disengaged\n";
     return 1;
   }
 
-  // Correctness guard, enforced even in metrics-only CI runs: the sharded
-  // final instance must match a single-session StreamingRepairer replay of
-  // the same stream cell for cell, fresh ids included.
+  // Correctness guard, enforced even in metrics-only CI runs: the served
+  // final instance must match a StreamingRepairer fed the same stream
+  // directly, cell for cell, fresh ids included.
   {
-    StreamingOptions stream_options;
-    stream_options.repair = serve_options.session.repair;
+    StreamingOptions stream_options = serve_options.session;
     stream_options.repair.threads = 1;
     StreamingRepairer streamer(replay.base, sigma, stream_options);
     for (const std::vector<RowEdit>& batch : replay.batches) {
       streamer.ApplyBatch(batch);
     }
-    if (!SameRelation(sharded_final, streamer.current())) {
-      std::cerr << "FATAL: sharded replay diverged from the single-session "
-                   "StreamingRepairer result\n";
+    if (!SameRelation(served_final, streamer.current())) {
+      std::cerr << "FATAL: served replay diverged from the directly "
+                   "streamed StreamingRepairer result\n";
       return 1;
     }
-    std::cout << "equivalence: sharded == single-session ("
-              << sharded_final.num_rows() << " rows)\n";
+    std::cout << "equivalence: served == streamed ("
+              << served_final.num_rows() << " rows)\n";
   }
   if (MetricsOnly()) return 0;
 

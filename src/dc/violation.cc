@@ -162,10 +162,10 @@ void ScanJoinBlocksWith(std::vector<std::vector<int>>& all_blocks,
   if (threads > 1 && blocks.size() > 1 && work >= kMinParallelWork) {
     // Contiguous block ranges balanced by pair count, so one giant block
     // does not serialize the scan.
-    int64_t num_shards = std::min<int64_t>(
+    int64_t num_slices = std::min<int64_t>(
         static_cast<int64_t>(blocks.size()), static_cast<int64_t>(threads) * 4);
     std::vector<size_t> shard_begin;
-    int64_t per_shard = (work + num_shards - 1) / num_shards;
+    int64_t per_shard = (work + num_slices - 1) / num_slices;
     int64_t acc = 0;
     for (size_t b = 0; b < blocks.size(); ++b) {
       if (shard_begin.empty() || acc >= per_shard) {
@@ -317,14 +317,14 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
 
   int threads = ThreadPool::EffectiveThreads();
   if (threads > 1 && n >= kMinParallelWork && nb > 1) {
-    int64_t num_shards =
+    int64_t num_slices =
         std::min<int64_t>(nb, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
+    span.AddArg("shards", num_slices);
+    std::vector<ShardResult> results(static_cast<size_t>(num_slices));
     int64_t local_cap = LocalCap(cap);
-    int64_t per = nb / num_shards;
-    int64_t extra = nb % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
+    int64_t per = nb / num_slices;
+    int64_t extra = nb % num_slices;
+    ThreadPool::ParallelFor(num_slices, [&](int64_t s) {
       int64_t begin = s * per + std::min(s, extra);
       int64_t end = begin + per + (s < extra ? 1 : 0);
       std::vector<int> rows(1);
@@ -506,14 +506,14 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
 
   int threads = ThreadPool::EffectiveThreads();
   if (threads > 1 && static_cast<int64_t>(n) * n >= kMinParallelWork) {
-    int64_t num_shards =
+    int64_t num_slices =
         std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
+    span.AddArg("shards", num_slices);
+    std::vector<ShardResult> results(static_cast<size_t>(num_slices));
     int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
+    int64_t per = n / num_slices;
+    int64_t extra = n % num_slices;
+    ThreadPool::ParallelFor(num_slices, [&](int64_t s) {
       int64_t begin = s * per + std::min(s, extra);
       int64_t end = begin + per + (s < extra ? 1 : 0);
       std::vector<int> rows(2);

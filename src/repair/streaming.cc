@@ -16,6 +16,10 @@ namespace cvrepair {
 
 namespace {
 
+/// Slack of the reopen trigger: a rival re-opens the variant search unless
+/// its lower bound clears the incumbent's realized cost by this much.
+constexpr double kReopenMargin = 1e-9;
+
 /// Cached "stream." counter handles (handles are stable for the process
 /// lifetime; ResetAll only zeroes values).
 struct StreamCounters {
@@ -394,7 +398,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   // could win that tie-break (candidates in ascending-δ_l order,
   // strict-min cost), and the contract is that the held variant always
   // equals what the from-scratch search would choose — so it re-opens.
-  if (out->rival_bound >= realized_cost_ + options_.reopen_margin) return;
+  if (out->rival_bound >= realized_cost_ + kReopenMargin) return;
 
   TraceSpan span("stream/variant_reopen");
   out->reopened = true;

@@ -47,8 +47,6 @@ struct StreamingOptions {
   /// the variant search when a rival's lower bound reaches the incumbent's
   /// realized cost. Off by default (frozen incumbent, PR 5 behaviour).
   bool reopen_variants = false;
-  /// Slack for the reopen trigger and the switch decision.
-  double reopen_margin = 1e-9;
 };
 
 /// Outcome of one ApplyBatch call.

@@ -64,8 +64,8 @@ double RowDeletionWeight(const Relation& I, const DomainStats& stats, int row,
 /// A tuple-deletion repair: tombstone assignments plus its cost. Deleted
 /// rows are represented in place — every non-NULL cell of the row is
 /// assigned NULL — so the instance keeps its row count and the tombstone
-/// flows through the encoded backend (sentinel codes + zone-map refresh),
-/// ViolationIndex delta maintenance, and the sharded serve path unchanged.
+/// flows through the encoded backend (sentinel codes + zone-map refresh)
+/// and ViolationIndex delta maintenance unchanged.
 /// NULL satisfies no DC predicate, so a tombstoned tuple can never
 /// participate in a violation again and deletions never create new ones.
 struct SubsetRepair {

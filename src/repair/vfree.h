@@ -44,8 +44,8 @@ struct VfreeOptions {
   /// hybrid rule — solve with updates, then tombstone any tuple whose
   /// summed update cost exceeds its deletion weight. Deleted tuples are
   /// tombstoned in place (all cells NULL), which keeps row counts and
-  /// lets the deletion flow through the encoded backend, ViolationIndex
-  /// delta maintenance, and the sharded serve path unchanged.
+  /// lets the deletion flow through the encoded backend and ViolationIndex
+  /// delta maintenance unchanged.
   RepairStrategy strategy = RepairStrategy::kUpdate;
   /// Deletion weights / representation-cost accounting for kDelete and
   /// kHybrid.

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/metrics.h"
@@ -42,7 +41,7 @@ ServeSession::ServeSession(std::string name, const Relation& I,
         a.queue_watermark = std::max(1, a.queue_watermark);
         return a;
       }()),
-      session_(I, sigma, options.session) {
+      engine_(I, sigma, options.session) {
   AdmissionCounters::Get().sessions_opened->Increment();
   if (admission_.background) StartWorker();
 }
@@ -84,11 +83,12 @@ int ServeSession::Pump() {
     batch = std::move(queue_.front());
     queue_.pop_front();
   }
-  ServeBatchResult result = session_.ApplyBatch(batch);
+  StreamBatchResult result = engine_.ApplyBatch(batch);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++applied_;
     batch_seconds_.push_back(result.elapsed_seconds);
+    last_result_ = result;
   }
   return 1;
 }
@@ -122,6 +122,11 @@ int64_t ServeSession::applied() const {
 std::vector<double> ServeSession::batch_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return batch_seconds_;
+}
+
+StreamBatchResult ServeSession::last_result() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_result_;
 }
 
 void ServeSession::StartWorker() {

@@ -2,7 +2,8 @@
 #define CVREPAIR_SERVE_SERVER_H_
 
 // Repair-as-a-service front end (DESIGN.md §13): a RepairServer hosts
-// named dataset sessions, each wrapping a ShardedSession behind a bounded
+// named dataset sessions, each wrapping a StreamingRepairer (the one
+// incremental engine, shared with the streaming replay) behind a bounded
 // request queue with admission control. Submit is the client edge — it
 // either enqueues a batch (admitted, with a monotone ticket) or rejects it
 // with a retry-after hint once the queue depth reaches the watermark
@@ -24,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/sharded_session.h"
+#include "repair/streaming.h"
 
 namespace cvrepair {
 
@@ -44,10 +45,20 @@ struct AdmissionOptions {
   bool background = false;
 };
 
-/// Per-session configuration: the sharded engine plus the admission edge.
+/// Per-session configuration: the streaming engine plus the admission edge.
 struct ServeOptions {
-  ShardedOptions session;
+  StreamingOptions session;
   AdmissionOptions admission;
+};
+
+/// Kept only for perfbench/driver.cc:839, its one reader, which copies a
+/// session's totals into it (hence the implicit constructor) and derives
+/// serve.cross_shard_frac from the two fields below; sessions no longer
+/// shard, so both read 0.
+struct ServeTotals {
+  ServeTotals(const StreamTotals&) {}
+  int64_t shard_local_components = 0;
+  int64_t cross_shard_components = 0;
 };
 
 /// What a client learns from one Submit call.
@@ -61,7 +72,7 @@ struct SubmitOutcome {
   int queue_depth = 0;
 };
 
-/// One named dataset session: a ShardedSession fed by a bounded queue.
+/// One named dataset session: a StreamingRepairer fed by a bounded queue.
 /// Thread-safe: any number of client threads may Submit while one drainer
 /// (Pump/Flush caller or the background worker) applies.
 class ServeSession {
@@ -93,9 +104,13 @@ class ServeSession {
   /// latency sample the load generator's p50/p99 report reads.
   std::vector<double> batch_seconds() const;
 
+  /// The engine's outcome of the most recently applied batch
+  /// (default-constructed until the first apply).
+  StreamBatchResult last_result() const;
+
   /// The engine. Safe to read between Pump/Flush calls in synchronous
   /// mode; with a background worker, only after StopWorker/Close.
-  const ShardedSession& repair() const { return session_; }
+  const StreamingRepairer& repair() const { return engine_; }
 
  private:
   friend class RepairServer;
@@ -105,15 +120,16 @@ class ServeSession {
 
   const std::string name_;
   const AdmissionOptions admission_;
-  ShardedSession session_;
+  StreamingRepairer engine_;
 
-  mutable std::mutex mu_;  // queue, counters, latency sample
+  mutable std::mutex mu_;  // queue, counters, latency sample, last result
   std::condition_variable queue_cv_;
   std::deque<std::vector<RowEdit>> queue_;
   int64_t admitted_ = 0;
   int64_t rejected_ = 0;
   int64_t applied_ = 0;
   std::vector<double> batch_seconds_;
+  StreamBatchResult last_result_;
 
   std::mutex apply_mu_;  // serializes applies, preserving ticket order
   std::thread worker_;

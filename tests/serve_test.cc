@@ -1,28 +1,27 @@
-// Repair-as-a-service (serve/): the sharded session must stay
-// violation-free under the frozen Σ' and bit-identical — cost, changed
-// cells, components, fresh ids included — to a single-session
-// StreamingRepairer replay of the same edit sequence, across shard counts,
-// backends, and thread counts; the admission edge must reject at the
-// watermark deterministically, re-admit after a drain, and never lose an
-// accepted batch, even across Close.
+// Repair-as-a-service (serve/): a served session must stay violation-free
+// under its variant and bit-identical — cost, changed cells, components,
+// fresh ids included — to a StreamingRepairer fed the same edit sequence
+// directly, across datasets, strategies, thread counts, drain schedules and
+// variant switches; the admission edge must reject at the watermark
+// deterministically, re-admit after a drain, and never lose an accepted
+// batch, even across Close.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
-#include "dc/predicate_space.h"
 #include "dc/violation.h"
 #include "repair/streaming.h"
-#include "serve/sharded_session.h"
+#include "repair/subset.h"
 
 namespace cvrepair {
 namespace {
@@ -54,15 +53,6 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-ShardedOptions MakeShardedOptions(const Workload& w, int threads,
-                                  int shards) {
-  ShardedOptions options;
-  options.repair.variants.space = w.space;
-  options.repair.threads = threads;
-  options.num_shards = shards;
-  return options;
-}
-
 StreamingOptions MakeStreamingOptions(const Workload& w, int threads) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
@@ -82,329 +72,107 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
   }
 }
 
-/// Streams the same replay through a ShardedSession and a single-session
-/// StreamingRepairer and pins batch-by-batch bit-identity: same variant,
-/// same violation count, same cost/cells/components, same cells including
-/// fresh ids.
-void RunShardedVsStreamed(const Workload& w, int threads, int shards) {
+/// Drives one replay through a RepairServer session (Submit, then Pump,
+/// batch by batch) and through a StreamingRepairer directly, and pins
+/// batch-by-batch bit-identity: same variant, same violation count, same
+/// cost/cells/components, same cells including fresh ids. Under the delete
+/// strategy the re-solves must also have tombstoned at least one tuple.
+void RunServedVsStreamed(const Workload& w, int threads,
+                         RepairStrategy strategy = RepairStrategy::kUpdate) {
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
-  ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, threads, shards));
-  StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, threads));
-  ASSERT_TRUE(sharded.variant() == streamer.variant());
-  ASSERT_TRUE(sharded.IsViolationFree());
-  ExpectExactlyEqual(sharded.current(), streamer.current());
+  ServeOptions options;
+  options.session = MakeStreamingOptions(w, threads);
+  options.session.repair.vfree.strategy = strategy;
+  RepairServer server;
+  ServeSession* session = server.Open("replay", replay.base, w.sigma, options);
+  ASSERT_NE(session, nullptr);
+  StreamingRepairer streamer(replay.base, w.sigma, options.session);
+  const StreamingRepairer& served = session->repair();
+  ASSERT_TRUE(served.variant() == streamer.variant());
+  ASSERT_TRUE(served.IsViolationFree());
+  ExpectExactlyEqual(served.current(), streamer.current());
 
+  int tombstoned = 0;
   for (size_t b = 0; b < replay.batches.size(); ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
-    ServeBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
+    const Relation before = served.current();
+    ASSERT_TRUE(session->Submit(replay.batches[b]).admitted);
+    ASSERT_EQ(session->Pump(), 1);
+    StreamBatchResult rs = session->last_result();
     StreamBatchResult rt = streamer.ApplyBatch(replay.batches[b]);
-    EXPECT_TRUE(sharded.IsViolationFree());
+    for (int r = 0; r < before.num_rows(); ++r) {
+      tombstoned += RowDeleted(before, served.current(), r) ? 1 : 0;
+    }
+    EXPECT_TRUE(served.IsViolationFree());
     EXPECT_EQ(rs.violations, rt.violations);
     EXPECT_EQ(rs.repair_cost, rt.repair_cost);  // bit-identical, not close
     EXPECT_EQ(rs.cells_changed, rt.cells_changed);
     EXPECT_EQ(rs.components, rt.components);
-    if (rs.violations == 0) {
-      EXPECT_EQ(rs.shard_local_components + rs.cross_shard_components, 0);
-    } else {
-      EXPECT_GE(rs.shard_local_components + rs.cross_shard_components, 1);
-    }
-    ExpectExactlyEqual(sharded.current(), streamer.current());
+    ExpectExactlyEqual(served.current(), streamer.current());
   }
-  EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
-}
-
-// The acceptance matrix: hosp and census, 1 and 4 threads, shard counts
-// 2 and 4 — every combination covered on both datasets.
-TEST(ServeTest, Hosp1Thread2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 1, 2);
-}
-TEST(ServeTest, Hosp4Threads4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 4, 4);
-}
-TEST(ServeTest, HospEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 1, 4);
-}
-TEST(ServeTest, HospEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 4, 2);
-}
-TEST(ServeTest, Census1Thread2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 1, 2);
-}
-TEST(ServeTest, Census4Threads4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 4, 4);
-}
-TEST(ServeTest, CensusEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 1, 4);
-}
-TEST(ServeTest, CensusEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 4, 2);
-}
-
-// The plan picks the equality-join key covering the most two-tuple
-// constraints. On hosp's oversimplified set the eq-join sets are {Name},
-// {Code}, {Code}, {Name,Addr}, {Zip}, {Name,Addr}: HospitalName covers
-// three constraints, every rival at most two.
-TEST(ServeTest, HospShardPlanPicksBestCoveringKey) {
-  Workload w = MakeHospWorkload();
-  ShardPlan plan = PlanShards(w.sigma);
-  ASSERT_EQ(plan.key.size(), 1u);
-  EXPECT_EQ(plan.key[0], HospAttrs::kHospitalName);
-  EXPECT_EQ(plan.local.size() + plan.straddling.size(), w.sigma.size());
-  // Structural soundness: every local two-tuple constraint's eq-join set
-  // contains the key, so two rows violating it share all key values.
-  for (int k : plan.local) {
-    if (w.sigma[static_cast<size_t>(k)].NumTupleVars() < 2) continue;
-    std::vector<AttrId> eq =
-        EqualityJoinAttrs(w.sigma[static_cast<size_t>(k)].predicates());
-    EXPECT_TRUE(std::includes(eq.begin(), eq.end(), plan.key.begin(),
-                              plan.key.end()));
+  EXPECT_EQ(session->applied(), static_cast<int64_t>(replay.batches.size()));
+  if (strategy == RepairStrategy::kDelete) {
+    EXPECT_GE(tombstoned, 1);
   }
-  EXPECT_FALSE(plan.straddling.empty());
+  EXPECT_TRUE(FindViolations(served.current(), served.variant()).empty());
+  std::optional<Relation> final_instance = server.Close("replay");
+  ASSERT_TRUE(final_instance.has_value());
+  ExpectExactlyEqual(*final_instance, streamer.current());
 }
 
-// Census's given DCs are order comparisons (no equality joins): the plan
-// degenerates to round-robin row sharding with only single-tuple
-// constraints local — everything else goes through the residual index.
-TEST(ServeTest, CensusShardPlanFallsBackToRoundRobin) {
-  Workload w = MakeCensusWorkload();
-  ShardPlan plan = PlanShards(w.sigma);
-  EXPECT_TRUE(plan.key.empty());
-  for (int k : plan.local) {
-    EXPECT_LT(w.sigma[static_cast<size_t>(k)].NumTupleVars(), 2);
-  }
+// The acceptance matrix: hosp and census at 1 and 4 threads.
+TEST(ServeTest, HospServedMatchesStreamed1Thread) {
+  RunServedVsStreamed(MakeHospWorkload(), 1);
+}
+TEST(ServeTest, HospServedMatchesStreamed4Threads) {
+  RunServedVsStreamed(MakeHospWorkload(), 4);
+}
+TEST(ServeTest, CensusServedMatchesStreamed1Thread) {
+  RunServedVsStreamed(MakeCensusWorkload(), 1);
+}
+TEST(ServeTest, CensusServedMatchesStreamed4Threads) {
+  RunServedVsStreamed(MakeCensusWorkload(), 4);
 }
 
-// When the shard key covers every constraint, the residual index runs with
-// an empty constraint set (it is then purely the master copy) — the
-// degenerate plan must still stream correctly.
-TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
-  Workload w = MakeHospWorkload();
-  w.sigma = {w.sigma[0]};  // fd_phone_oversimplified alone, eq-join {Name}
-  ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 6, /*seed=*/5);
-  ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, 1, 3));
-  EXPECT_TRUE(sharded.plan().straddling.empty());
-  StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, 1));
-  for (const std::vector<RowEdit>& batch : replay.batches) {
-    ServeBatchResult rs = sharded.ApplyBatch(batch);
-    StreamBatchResult rt = streamer.ApplyBatch(batch);
-    EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-    EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-    EXPECT_TRUE(sharded.IsViolationFree());
-  }
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  EXPECT_EQ(sharded.totals().cross_shard_components, 0);
-}
-
-/// Finds an edit of `target_attr` on some row that provably creates at
-/// least one violation spanning two shards (want_cross) or contained in
-/// one (want_cross = false), by simulating candidate edits on a copy.
-/// Returns false if no candidate qualifies.
-bool FindProbeEdit(ShardedSession& session, AttrId target_attr,
-                   bool want_cross, RowEdit* out) {
-  const Relation& W = session.current();
-  for (int src = 0; src < W.num_rows(); ++src) {
-    for (int dst = 0; dst < W.num_rows(); ++dst) {
-      if (src == dst) continue;
-      const bool cross = session.HomeOf(src) != session.HomeOf(dst);
-      if (cross != want_cross) continue;
-      const Value& v = W.Get(src, target_attr);
-      if (v.is_null() || v.is_fresh() || W.Get(dst, target_attr) == v) {
-        continue;
-      }
-      Relation probe = W;
-      probe.SetValue(dst, target_attr, v);
-      std::vector<Violation> violations =
-          FindViolations(probe, session.variant());
-      for (const Violation& viol : violations) {
-        bool straddles = false;
-        for (size_t i = 1; i < viol.rows.size(); ++i) {
-          if (session.HomeOf(viol.rows[i]) != session.HomeOf(viol.rows[0])) {
-            straddles = true;
-          }
-        }
-        if (straddles == want_cross) {
-          *out = RowEdit::Update(dst, target_attr, v);
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-// A violation whose rows live in different shards escapes every shard
-// index, is caught by the residual, and is counted as a cross-shard
-// component — and the repair still retires it.
-TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
-  Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, 1, 2));
-  // MeasureCode → MeasureName/Condition straddle the Name-keyed shards.
-  RowEdit probe;
-  ASSERT_TRUE(
-      FindProbeEdit(session, HospAttrs::kMeasureCode, /*want_cross=*/true,
-                    &probe));
-  ServeBatchResult r = session.ApplyBatch({probe});
-  EXPECT_GE(r.cross_shard_components, 1);
-  EXPECT_TRUE(session.IsViolationFree());
-  EXPECT_GE(session.totals().cross_shard_components, 1);
-}
-
-// A violation between rows agreeing on the shard key stays inside one
-// shard index and is counted shard-local.
-TEST(ServeTest, ShardLocalComponentStaysLocal) {
-  Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, 1, 4));
-  RowEdit probe;
-  ASSERT_TRUE(FindProbeEdit(session, HospAttrs::kPhone, /*want_cross=*/false,
-                            &probe));
-  ServeBatchResult r = session.ApplyBatch({probe});
-  EXPECT_GE(r.shard_local_components, 1);
-  EXPECT_TRUE(session.IsViolationFree());
-}
-
-// Rewriting a row's shard-key cells re-homes it: the row must land in the
-// shard of the rows it now joins with, and the session must stay
-// equivalent to the unsharded replay of the same edits. The key attribute
-// comes from the session's own plan — the variant search is free to move
-// the equality joins (it does on hosp: fd_phone's key becomes Address).
-TEST(ServeTest, ShardKeyEditMigratesRow) {
-  Workload w = MakeHospWorkload();
-  ShardedSession sharded(w.dirty, w.sigma, MakeShardedOptions(w, 1, 4));
-  StreamingRepairer streamer(w.dirty, w.sigma,
-                             MakeStreamingOptions(w, 1));
-  const std::vector<AttrId>& key = sharded.plan().key;
-  ASSERT_FALSE(key.empty());
-  const Relation& W = sharded.current();
-  // Find a donor row homed elsewhere whose key values are all concrete and
-  // differ from the victim's in at least one attribute.
-  int victim = -1, donor = -1;
-  for (int a = 0; a < W.num_rows() && victim < 0; ++a) {
-    for (int b = 0; b < W.num_rows(); ++b) {
-      if (sharded.HomeOf(a) == sharded.HomeOf(b)) continue;
-      bool concrete = true;
-      for (AttrId at : key) {
-        const Value& v = W.Get(b, at);
-        concrete &= !v.is_null() && !v.is_fresh();
-      }
-      if (concrete) {
-        victim = a;
-        donor = b;
-        break;
-      }
-    }
-  }
-  ASSERT_GE(victim, 0);
-  std::vector<RowEdit> batch;
-  for (AttrId at : key) {
-    batch.push_back(RowEdit::Update(victim, at, W.Get(donor, at)));
-  }
-  ServeBatchResult rs = sharded.ApplyBatch(batch);
-  StreamBatchResult rt = streamer.ApplyBatch(batch);
-  EXPECT_GE(rs.rows_migrated, 1);
-  EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-  EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  // Wherever the repair left the victim's key cells, equal keys mean equal
-  // homes (the fixes may have rewritten them again, migrating it back).
-  bool keys_equal = true;
-  for (AttrId at : key) {
-    const Value& v = sharded.current().Get(victim, at);
-    keys_equal &= !v.is_null() && !v.is_fresh() &&
-                  v == sharded.current().Get(donor, at);
-  }
-  if (keys_equal) {
-    EXPECT_EQ(sharded.HomeOf(victim), sharded.HomeOf(donor));
-  }
-}
-
-// Tombstone re-homing probe: under the delete strategy the per-batch
-// re-solve retires violations by tombstoning tuples (all cells NULL). The
-// tombstoned row must be retired from its shard's ViolationIndex in place
-// — the route table keeps the shard it died in rather than migrating the
-// row of NULLs to the round-robin slot its NULL key hashes to (which
-// would rebuild two shard indexes per deletion) — and the session must
-// stay bit-identical to the unsharded replay.
-TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
-  Workload w = MakeHospWorkload();
-  ShardedOptions sharded_options = MakeShardedOptions(w, 1, 4);
-  sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-  ShardedSession sharded(w.dirty, w.sigma, sharded_options);
-  StreamingOptions streaming_options = MakeStreamingOptions(w, 1);
-  streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-  StreamingRepairer streamer(w.dirty, w.sigma, streaming_options);
-  ASSERT_TRUE(sharded.variant() == streamer.variant());
-  ASSERT_TRUE(sharded.IsViolationFree());
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-
-  // Provoke a shard-local violation; the delete-strategy re-solve retires
-  // it by tombstoning a row of the conflict.
-  RowEdit probe;
-  ASSERT_TRUE(FindProbeEdit(sharded, HospAttrs::kPhone, /*want_cross=*/false,
-                            &probe));
-  const Relation before = sharded.current();
-  std::vector<int> home_before;
-  for (int r = 0; r < before.num_rows(); ++r) {
-    home_before.push_back(sharded.HomeOf(r));
-  }
-  const int64_t migrated_before = sharded.totals().rows_migrated;
-
-  ServeBatchResult rs = sharded.ApplyBatch({probe});
-  StreamBatchResult rt = streamer.ApplyBatch({probe});
-  EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-  EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  EXPECT_TRUE(sharded.IsViolationFree());
-
-  // At least one tuple died, and every tombstone kept its home.
-  int deleted = 0;
-  for (int r = 0; r < before.num_rows(); ++r) {
-    if (!RowDeleted(before, sharded.current(), r)) continue;
-    ++deleted;
-    EXPECT_EQ(sharded.HomeOf(r), home_before[static_cast<size_t>(r)])
-        << "tombstoned row " << r << " migrated";
-  }
-  EXPECT_GE(deleted, 1);
-  // Tombstoning is not a migration: the probe edit touched no shard-key
-  // cell and the fixes only wrote NULLs, so the route table is unchanged.
-  EXPECT_EQ(sharded.totals().rows_migrated, migrated_before);
-
-  // The shard indexes really retired the rows: a no-op batch detects
-  // nothing and changes nothing.
-  ServeBatchResult idle = sharded.ApplyBatch({});
-  EXPECT_EQ(idle.violations, 0);
-  EXPECT_EQ(idle.cells_changed, 0);
-}
-
-// The full delete-strategy equivalence sweep: sharded ≡ unsharded
-// streamed replay, batch by batch, at both thread counts.
-TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
+// The delete-strategy arm (selected by the CI strategy matrix's
+// ServeTest.Delete* filter): the per-batch re-solve retires violations by
+// tombstoning tuples, and the served session must still equal the direct
+// stream batch by batch, at both thread counts.
+TEST(ServeTest, DeleteStrategyServedMatchesStreamedReplay) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    Workload w = MakeHospWorkload();
-    ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
-                                               /*batch_size=*/8, /*seed=*/7);
-    ShardedOptions sharded_options = MakeShardedOptions(w, threads, 3);
-    sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-    ShardedSession sharded(replay.base, w.sigma, sharded_options);
-    StreamingOptions streaming_options = MakeStreamingOptions(w, threads);
-    streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-    StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
-    for (const std::vector<RowEdit>& batch : replay.batches) {
-      ServeBatchResult rs = sharded.ApplyBatch(batch);
-      StreamBatchResult rt = streamer.ApplyBatch(batch);
-      EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-      EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-      EXPECT_TRUE(sharded.IsViolationFree());
-    }
-    ExpectExactlyEqual(sharded.current(), streamer.current());
-    EXPECT_TRUE(
-        FindViolations(sharded.current(), sharded.variant()).empty());
+    RunServedVsStreamed(MakeHospWorkload(), threads, RepairStrategy::kDelete);
   }
+}
+
+// A served session follows a variant switch like a stream does: with
+// reopen_variants on a drifting stream, the served engine re-opens the
+// variant search mid-session and ends on the direct stream's Σ' and cells.
+TEST(ServeTest, ServedSessionFollowsVariantSwitch) {
+  Workload w = MakeHospWorkload();
+  ServeOptions options;
+  options.session = MakeStreamingOptions(w, 1);
+  options.session.reopen_variants = true;
+  ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
+                                            /*batch_size=*/10, /*seed=*/29);
+  RepairServer server;
+  ServeSession* session = server.Open("drift", replay.base, w.sigma, options);
+  ASSERT_NE(session, nullptr);
+  StreamingRepairer streamer(replay.base, w.sigma, options.session);
+  for (size_t b = 0; b < replay.batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    ASSERT_TRUE(session->Submit(replay.batches[b]).admitted);
+    ASSERT_EQ(session->Pump(), 1);
+    StreamBatchResult rs = session->last_result();
+    StreamBatchResult rt = streamer.ApplyBatch(replay.batches[b]);
+    EXPECT_EQ(rs.reopened, rt.reopened);
+    EXPECT_EQ(rs.variant_switched, rt.variant_switched);
+    EXPECT_TRUE(session->repair().variant() == streamer.variant());
+    ExpectExactlyEqual(session->repair().current(), streamer.current());
+  }
+  EXPECT_GT(session->repair().totals().variant_reopens, 0);
+  EXPECT_TRUE(session->repair().IsViolationFree());
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +181,6 @@ TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
 ServeOptions SmallServeOptions(const Workload& w, int watermark) {
   ServeOptions options;
   options.session.repair.variants.space = w.space;
-  options.session.num_shards = 2;
   options.admission.queue_watermark = watermark;
   return options;
 }
@@ -481,7 +248,7 @@ TEST(ServeTest, CloseFlushesAcceptedBatchesWithoutLoss) {
   ASSERT_TRUE(final_instance.has_value());
   EXPECT_EQ(server.Find("hosp"), nullptr);
 
-  ShardedSession twin(replay.base, w.sigma, options.session);
+  StreamingRepairer twin(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
     twin.ApplyBatch(batch);
   }
@@ -506,7 +273,7 @@ TEST(ServeTest, BackgroundWorkerMatchesSynchronousDrain) {
   ASSERT_TRUE(final_instance.has_value());
 
   options.admission.background = false;
-  ShardedSession twin(replay.base, w.sigma, options.session);
+  StreamingRepairer twin(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
     twin.ApplyBatch(batch);
   }
@@ -567,8 +334,9 @@ TEST(ServeTest, LatencyHistogramNearestRankOnFixedSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz: random shard counts × batch shapes × pump interleavings, sharded
-// (through the full server path) ≡ unsharded streamed replay.
+// Fuzz: random watermarks × batch shapes × pump interleavings × background
+// worker on/off × 1 or 4 threads, served (through the full server path) ≡
+// streamed replay.
 
 int FuzzScale() {
   static const int scale = [] {
@@ -581,43 +349,46 @@ int FuzzScale() {
 
 class ServeFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
+TEST_P(ServeFuzz, RandomScheduleMatchesStreamedReplay) {
   const int seed = GetParam();
   std::mt19937_64 rng(static_cast<uint64_t>(seed) * 9973 + 17);
   Workload w = (seed % 2 == 0) ? MakeHospWorkload() : MakeCensusWorkload();
-  const int shards = 1 + static_cast<int>(rng() % 5);
   const int num_batches = 2 + static_cast<int>(rng() % 3);
   const int batch_size = 4 + static_cast<int>(rng() % 6);
   const int watermark = 1 + static_cast<int>(rng() % num_batches);
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " shards=" +
-               std::to_string(shards) + " batches=" +
+  const bool background = rng() % 2 == 0;
+  const int threads = rng() % 2 == 0 ? 1 : 4;
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " batches=" +
                std::to_string(num_batches) + "x" +
                std::to_string(batch_size) + " watermark=" +
-               std::to_string(watermark));
+               std::to_string(watermark) + " background=" +
+               std::to_string(background) + " threads=" +
+               std::to_string(threads));
   ReplayWorkload replay = MakeReplayWorkload(
       w.dirty, num_batches, batch_size, static_cast<uint64_t>(seed) + 101);
 
   ServeOptions options;
-  options.session.repair.variants.space = w.space;
-  options.session.num_shards = shards;
+  options.session = MakeStreamingOptions(w, threads);
   options.admission.queue_watermark = watermark;
+  options.admission.background = background;
   RepairServer server;
   ServeSession* session =
       server.Open("fuzz", replay.base, w.sigma, options);
   ASSERT_NE(session, nullptr);
   // Closed-loop with a random pump interleaving: rejected batches pump the
-  // queue and retry, so the admitted order — and hence the repaired
-  // instance — is the canonical batch order regardless of schedule.
+  // queue and retry (racing the background worker when it runs), so the
+  // admitted order — and hence the repaired instance — is the canonical
+  // batch order regardless of schedule.
   for (const std::vector<RowEdit>& batch : replay.batches) {
-    while (!session->Submit(batch).admitted) session->Pump();
+    while (!session->Submit(batch).admitted) {
+      if (session->Pump() == 0) std::this_thread::yield();
+    }
     if (rng() % 2 == 0) session->Pump();
   }
   std::optional<Relation> final_instance = server.Close("fuzz");
   ASSERT_TRUE(final_instance.has_value());
 
-  StreamingOptions streaming;
-  streaming.repair = options.session.repair;
-  StreamingRepairer streamer(replay.base, w.sigma, streaming);
+  StreamingRepairer streamer(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
     streamer.ApplyBatch(batch);
   }
@@ -626,7 +397,7 @@ TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
       FindViolations(*final_instance, streamer.variant()).empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomShardings, ServeFuzz,
+INSTANTIATE_TEST_SUITE_P(RandomSchedules, ServeFuzz,
                          ::testing::Range(0, 2 * FuzzScale()));
 
 }  // namespace

@@ -84,7 +84,6 @@ struct CliOptions {
   int batch_size = 32;
   bool serve_bench = false;  ///< closed-loop load generator mode
   int clients = 4;           ///< simulated closed-loop clients
-  int shards = 4;            ///< hash shards of the served session
   int queue_watermark = 8;   ///< admission-control queue bound
   bool reopen_variants = false;
   bool cross_batch_cache = true;
@@ -156,27 +155,24 @@ int Usage(const char* argv0) {
          "                     (cvtolerant only)\n"
       << "  --batch-size K     edits per streamed batch (default 32)\n"
       << "  --serve-bench      closed-loop load generator against a\n"
-         "                     server-hosted sharded session: the replay\n"
-         "                     batches are dealt round-robin to --clients\n"
-         "                     closed-loop clients, each retrying rejected\n"
+         "                     server-hosted session: the replay batches\n"
+         "                     are dealt round-robin to --clients closed-\n"
+         "                     loop clients, each retrying rejected\n"
          "                     submissions after a drain; reports p50/p99\n"
-         "                     batch latency, edits/sec, and the\n"
-         "                     shard-local vs cross-shard component split,\n"
-         "                     appending them to BENCH_serve.json\n"
+         "                     batch latency, edits/sec and the components\n"
+         "                     re-solved, appending them to BENCH_serve.json\n"
          "                     (cvtolerant only; uses --stream-batches and\n"
          "                     --batch-size for the stream shape)\n"
       << "  --clients N        simulated closed-loop clients (default 4)\n"
-      << "  --shards N         hash shards of the served session\n"
-         "                     (default 4; 1 = unsharded)\n"
       << "  --queue-watermark N\n"
          "                     admission control rejects submissions while\n"
          "                     this many batches are pending (default 8)\n"
       << "  --reopen-variants 0|1\n"
-         "                     unfreeze the streamed variant: track per-\n"
-         "                     variant cost bounds across batches and re-\n"
-         "                     open the Σ' search when a rival's bound\n"
-         "                     reaches the incumbent's realized cost\n"
-         "                     (default 0: frozen incumbent)\n"
+         "                     unfreeze the streamed or served variant:\n"
+         "                     track per-variant cost bounds across\n"
+         "                     batches and re-open the Σ' search when a\n"
+         "                     rival's bound reaches the incumbent's\n"
+         "                     realized cost (default 0: frozen incumbent)\n"
       << "  --cross-batch-cache 0|1\n"
          "                     reuse materialized component solutions\n"
          "                     across batches (default 1; epoch stamps and\n"
@@ -296,10 +292,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->serve_bench = true;
     } else if (arg == "--clients" && next(&value)) {
       if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->clients)) {
-        return false;
-      }
-    } else if (arg == "--shards" && next(&value)) {
-      if (!ParseIntFlag(arg, value, 1, INT_MAX, &options->shards)) {
         return false;
       }
     } else if (arg == "--queue-watermark" && next(&value)) {
@@ -468,6 +460,26 @@ int RunDiscovery(const CliOptions& options, const Relation& data) {
   return 0;
 }
 
+/// The engine options the streamed replay and the served session share.
+/// Returns false (after printing why) on a bad strategy configuration.
+bool MakeStreamingOptions(const CliOptions& options, const Schema& schema,
+                          const PredicateSpaceOptions* space,
+                          StreamingOptions* out) {
+  CVTolerantOptions& repair_options = out->repair;
+  repair_options.variants.theta = options.theta;
+  repair_options.variants.cost_model.lambda = options.lambda;
+  if (space) repair_options.variants.space = *space;
+  repair_options.threads = options.threads;
+  repair_options.vfree.decompose = options.decompose;
+  repair_options.vfree.max_component = options.max_component;
+  if (!ApplyStrategyOptions(options, schema, &repair_options.vfree)) {
+    return false;
+  }
+  out->reopen_variants = options.reopen_variants;
+  out->cross_batch_cache = options.cross_batch_cache;
+  return true;
+}
+
 /// --stream-batches mode: repairs a prefix of `data` to freeze a variant,
 /// then replays the held-out rows plus synthetic edits as batches through
 /// a StreamingRepairer, printing per-batch localization numbers.
@@ -482,18 +494,9 @@ int RunStream(const CliOptions& options, const Relation& data,
   if (!options.trace_out.empty()) Tracer::SetEnabled(true);
 
   StreamingOptions stream_options;
-  CVTolerantOptions& repair_options = stream_options.repair;
-  repair_options.variants.theta = options.theta;
-  repair_options.variants.cost_model.lambda = options.lambda;
-  if (space) repair_options.variants.space = *space;
-  repair_options.threads = options.threads;
-  repair_options.vfree.decompose = options.decompose;
-  repair_options.vfree.max_component = options.max_component;
-  if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
+  if (!MakeStreamingOptions(options, data.schema(), space, &stream_options)) {
     return 2;
   }
-  stream_options.reopen_variants = options.reopen_variants;
-  stream_options.cross_batch_cache = options.cross_batch_cache;
 
   ReplayWorkload workload =
       options.drift
@@ -570,15 +573,15 @@ int RunStream(const CliOptions& options, const Relation& data,
 }
 
 /// --serve-bench mode: a closed-loop load generator against a
-/// server-hosted sharded session. The replay batches are dealt
-/// round-robin to --clients simulated closed-loop clients; clients take
-/// turns submitting, and a client whose submission is rejected pumps the
-/// queue (the drain a real deployment's worker performs) and retries, so
-/// every batch is eventually admitted in canonical order and the final
-/// instance stays bit-identical to an unsharded single-session replay.
-/// Reports p50/p99 batch latency, edits/sec, admission counts, and the
-/// shard-local vs cross-shard component split; appends the numbers to
-/// BENCH_serve.json next to bench/micro_serve's records.
+/// server-hosted session. The replay batches are dealt round-robin to
+/// --clients simulated closed-loop clients; clients take turns submitting,
+/// and a client whose submission is rejected pumps the queue (the drain a
+/// real deployment's worker performs) and retries, so every batch is
+/// eventually admitted in canonical order and the final instance stays
+/// bit-identical to the --stream-batches replay of the same stream.
+/// Reports p50/p99 batch latency, edits/sec, admission counts and the
+/// components re-solved; appends the numbers to BENCH_serve.json next to
+/// bench/micro_serve's records.
 int RunServeBench(const CliOptions& options, const Relation& data,
                   const ConstraintSet& sigma,
                   const PredicateSpaceOptions* space = nullptr) {
@@ -589,17 +592,10 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   ThreadPool::SetNumThreads(options.threads);
 
   ServeOptions serve_options;
-  CVTolerantOptions& repair_options = serve_options.session.repair;
-  repair_options.variants.theta = options.theta;
-  repair_options.variants.cost_model.lambda = options.lambda;
-  if (space) repair_options.variants.space = *space;
-  repair_options.threads = options.threads;
-  repair_options.vfree.decompose = options.decompose;
-  repair_options.vfree.max_component = options.max_component;
-  if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
+  if (!MakeStreamingOptions(options, data.schema(), space,
+                            &serve_options.session)) {
     return 2;
   }
-  serve_options.session.num_shards = options.shards;
   serve_options.admission.queue_watermark = options.queue_watermark;
 
   const int num_batches =
@@ -615,14 +611,10 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     std::cerr << "cannot open serve session\n";
     return 1;
   }
-  const ShardedSession& engine = session->repair();
-  std::ostringstream key_names;
-  for (size_t i = 0; i < engine.plan().key.size(); ++i) {
-    key_names << (i ? "," : "") << data.schema().name(engine.plan().key[i]);
-  }
-  std::cout << "algorithm:        cvtolerant (serve, " << options.shards
-            << " shards, " << options.clients << " clients"
-            << (options.drift ? ", drift" : "");
+  const StreamingRepairer& engine = session->repair();
+  std::cout << "algorithm:        cvtolerant (serve, " << options.clients
+            << " clients" << (options.drift ? ", drift" : "")
+            << (options.reopen_variants ? ", unfrozen variant" : "");
   if (options.strategy != RepairStrategy::kUpdate) {
     std::cout << ", strategy=" << RepairStrategyToString(options.strategy);
   }
@@ -632,12 +624,6 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << engine.initial_stats().repair_cost << ", "
             << engine.initial_stats().changed_cells << " cells, "
             << engine.initial_stats().elapsed_seconds << "s\n"
-            << "shard key:        "
-            << (engine.plan().key.empty() ? "none (round-robin)"
-                                          : key_names.str())
-            << " (" << engine.plan().local.size() << " local / "
-            << engine.plan().straddling.size()
-            << " straddling constraints)\n"
             << "stream:           " << num_batches << " batches x "
             << options.batch_size << " edits, watermark "
             << options.queue_watermark << "\n";
@@ -663,7 +649,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
 
   bench::LatencyHistogram latency;
   latency.RecordAll(session->batch_seconds());
-  const ServeTotals& totals = engine.totals();
+  const StreamTotals& totals = engine.totals();
   const double busy = latency.TotalSeconds();
   const double edits_per_sec =
       busy > 0.0 ? static_cast<double>(totals.edits) / busy : 0.0;
@@ -674,13 +660,14 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << "p50 latency:      " << latency.p50() * 1e3 << " ms\n"
             << "p99 latency:      " << latency.p99() * 1e3 << " ms\n"
             << "edits/sec:        " << edits_per_sec << "\n"
-            << "components:       " << totals.components << " ("
-            << totals.shard_local_components << " shard-local, "
-            << totals.cross_shard_components << " cross-shard)\n"
-            << "rows migrated:    " << totals.rows_migrated << "\n"
+            << "components:       " << totals.components_resolved << "\n"
             << "rows rechecked:   " << totals.rows_rechecked << "\n"
-            << "cells changed:    " << totals.cells_changed << "\n"
-            << "wall time:        " << wall_seconds << "s\n";
+            << "cells changed:    " << totals.cells_changed << "\n";
+  if (options.reopen_variants) {
+    std::cout << "variant reopens:  " << totals.variant_reopens << "\n"
+              << "variant switches: " << totals.variant_switches << "\n";
+  }
+  std::cout << "wall time:        " << wall_seconds << "s\n";
 
   bench::BenchJsonWriter json("BENCH_serve.json");
   json.Record("serve_cli/p50", options.threads, latency.p50() * 1e3);
@@ -688,14 +675,9 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   json.Record("serve_cli/edits_per_sec", options.threads, edits_per_sec);
   json.RecordCounters("serve_cli/load",
                       {{"clients", options.clients},
-                       {"shards", options.shards},
                        {"batches_admitted", admitted},
                        {"batches_rejected", rejected},
-                       {"shard_local_components",
-                        totals.shard_local_components},
-                       {"cross_shard_components",
-                        totals.cross_shard_components},
-                       {"rows_migrated", totals.rows_migrated},
+                       {"components", totals.components_resolved},
                        {"cells_changed", totals.cells_changed}});
 
   PublishRepairStats(engine.initial_stats());
